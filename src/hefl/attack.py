@@ -58,14 +58,14 @@ class VisibleUpdate:
         return int(self.indices.size)
 
 
-def visible_view(update, total: int) -> VisibleUpdate:
-    """Extract the attacker-visible part of a protocol ClientUpdate."""
-    if update.plaintext_sparse:
-        idx, values = zip(*update.plaintext_sparse)
-    else:
-        idx, values = (), ()
-    return VisibleUpdate(np.asarray(idx, dtype=np.int64),
-                         np.asarray(values, dtype=np.float64), total)
+def visible_view(update, mask) -> VisibleUpdate:
+    """The attacker-visible part of a protocol ClientUpdate.
+
+    The plaintext share carries values only; the shared round mask
+    supplies their coordinates (its complement).
+    """
+    return VisibleUpdate(mask.complement(), update.plaintext_sparse,
+                         mask.total)
 
 
 @dataclass

@@ -114,12 +114,6 @@ class CkksContext:
         s = a.residues + b.residues
         return RnsPoly(np.where(s >= q, s - q, s), a.domain)
 
-    def sub(self, a: RnsPoly, b: RnsPoly) -> RnsPoly:
-        self._check_pair(a, b)
-        q = self.chain_u64[:a.residues.shape[0], None]
-        d = a.residues + (q - b.residues)
-        return RnsPoly(np.where(d >= q, d - q, d), a.domain)
-
     def negate(self, a: RnsPoly) -> RnsPoly:
         q = self.chain_u64[:a.residues.shape[0], None]
         out = np.where(a.residues == 0, a.residues, q - a.residues)
@@ -134,18 +128,6 @@ class CkksContext:
         out = np.empty_like(a.residues)
         for i in range(rows):
             out[i] = mulmod_shoup(a.residues[i], fixed[i], fixed_sh[i],
-                                  self.chain_u64[i])
-        return RnsPoly(out, NTT)
-
-    def mul_scalar_residues(self, a: RnsPoly, scalars: np.ndarray,
-                            scalars_sh: np.ndarray) -> RnsPoly:
-        """Product with a constant polynomial given by one residue per prime."""
-        if a.domain != NTT:
-            raise UsageError("pointwise products need the NTT domain")
-        rows = a.residues.shape[0]
-        out = np.empty_like(a.residues)
-        for i in range(rows):
-            out[i] = mulmod_shoup(a.residues[i], scalars[i], scalars_sh[i],
                                   self.chain_u64[i])
         return RnsPoly(out, NTT)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import NTT, CkksContext, RnsPoly
+from .context import CkksContext
 from .modmath import U64
 
 # stream tags keep the keygen / encryption RNG draws disjoint per seed
@@ -65,6 +65,3 @@ def keygen(ctx: CkksContext, seed: int) -> tuple[SecretKey, PublicKey]:
                    a.residues, shoup_rows(a.residues, params.modulus_chain))
     return SecretKey(s, s_ntt, s_sh), pk
 
-
-def secret_poly(sk: SecretKey) -> RnsPoly:
-    return RnsPoly(sk.s_ntt, NTT)

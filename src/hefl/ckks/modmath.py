@@ -44,20 +44,6 @@ def mulmod_shoup(a: np.ndarray, w, w_sh, q: U64) -> np.ndarray:
     return np.where(r >= q, r - q, r)
 
 
-def addmod(a: np.ndarray, b: np.ndarray, q: U64) -> np.ndarray:
-    s = a + b
-    return np.where(s >= q, s - q, s)
-
-
-def submod(a: np.ndarray, b: np.ndarray, q: U64) -> np.ndarray:
-    d = a + (q - b)
-    return np.where(d >= q, d - q, d)
-
-
-def negmod(a: np.ndarray, q: U64) -> np.ndarray:
-    return np.where(a == U64(0), a, q - a)
-
-
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

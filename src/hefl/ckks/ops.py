@@ -117,8 +117,8 @@ def he_mul_scalar(ct: Ciphertext, scalar: float, ctx: CkksContext) -> Ciphertext
         raise DepthExhaustedError(
             "no level remaining for a plaintext product")
     res, sh, magnitude = encode_scalar_residues(scalar, ctx, ct.level)
-    c0 = ctx.mul_scalar_residues(ct.c0, res, sh)
-    c1 = ctx.mul_scalar_residues(ct.c1, res, sh)
+    c0 = ctx.mul_fixed(ct.c0, res, sh)
+    c1 = ctx.mul_fixed(ct.c1, res, sh)
     noise = ct.noise_bits + math.log2(max(magnitude, 1.0))
     value = ct.value_bits + (math.log2(magnitude / ctx.params.scale)
                              if magnitude else 0.0)

@@ -11,7 +11,7 @@ step)), so restoring the counter after a resume restores the schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

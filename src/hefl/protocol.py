@@ -6,7 +6,8 @@ One round:
        shared selection mask (top-r fraction of coordinates),
     2. every client trains locally, forms the pseudo-gradient
        (w_global - w_local), clips it, encrypts the masked coordinates
-       in slot-packed chunks and sends the rest as sparse plaintext,
+       in slot-packed chunks and sends the rest as plaintext values in
+       mask-complement order,
     3. the server sums ciphertexts client-wise, multiplies by 1/K,
        rescales once, decrypts, and merges with the plaintext mean,
     4. the global model moves by the aggregated update and the round is
@@ -22,11 +23,9 @@ import base64
 import hashlib
 import json
 import math
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +146,7 @@ class ClientUpdate:
     round_index: int                     # 1-based round this update belongs to
     mask_fingerprint: str
     encrypted_chunks: list[ckks.Ciphertext]
-    plaintext_sparse: list[tuple[int, float]]
+    plaintext_sparse: np.ndarray         # float64 values at mask.complement()
     sample_count: int
     local_loss: float
 
@@ -322,8 +321,7 @@ def client_update(state: ExperimentState, client_id: int,
         pt = ckks.encode(piece, state.ctx)
         seed = (cfg.seed, rnd, client_id, j // slot)
         chunks.append(ckks.encrypt(pt, state.public_key, state.ctx, seed))
-    plain_idx = mask.complement()
-    plaintext = list(zip(plain_idx.tolist(), update[plain_idx].tolist()))
+    plaintext = update[mask.complement()]
     encrypt_s = time.perf_counter() - t1
 
     return (ClientUpdate(client_id, rnd, mask.fingerprint(), chunks,
@@ -387,16 +385,11 @@ def aggregate(state: ExperimentState, updates: list[ClientUpdate],
     if plain_idx.size:
         total = np.zeros(plain_idx.size, dtype=np.float64)
         for u in updates:
-            if len(u.plaintext_sparse) != plain_idx.size:
+            if u.plaintext_sparse.shape != plain_idx.shape:
                 raise ProtocolError(
                     f"client {u.client_id} sent {len(u.plaintext_sparse)} "
                     f"plaintext entries, expected {plain_idx.size}")
-            idx, values = zip(*u.plaintext_sparse)
-            if np.any(np.asarray(idx, dtype=np.int64) != plain_idx):
-                raise ProtocolError(
-                    f"client {u.client_id} plaintext indices disagree with "
-                    f"the mask complement")
-            total += np.asarray(values, dtype=np.float64)
+            total += u.plaintext_sparse
         agg[plain_idx] = total / k
     plain_s = time.perf_counter() - t2
 
@@ -408,26 +401,12 @@ def apply_global_update(model: ModelState, agg: np.ndarray) -> ModelState:
     return ModelState(model.arch, model.flat - GLOBAL_ETA * agg)
 
 
-def _client_workers() -> int:
-    raw = os.environ.get("HEFL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"HEFL_THREADS={raw!r} is not an integer") from None
-
-
 def run_round(state: ExperimentState
               ) -> tuple[RoundRecord, list[ClientUpdate], np.ndarray,
                          SelectionMask]:
     cfg = state.config
     mask = round_mask(state)
-    workers = min(_client_workers(), cfg.clients)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda c: client_update(state, c, mask), range(cfg.clients)))
-    else:
-        results = [client_update(state, c, mask) for c in range(cfg.clients)]
+    results = [client_update(state, c, mask) for c in range(cfg.clients)]
     updates = [r[0] for r in results]
     stage = {"train": sum(r[1]["train"] for r in results),
              "encrypt": sum(r[1]["encrypt"] for r in results)}
@@ -534,8 +513,6 @@ def write_capture(path: str | Path, state: ExperimentState,
     `model_flat` must be the weights the update was computed against,
     not the post-round state.
     """
-    idx, values = (zip(*update.plaintext_sparse)
-                   if update.plaintext_sparse else ((), ()))
     payload = {
         "round": update.round_index,
         "client_id": update.client_id,
@@ -545,7 +522,8 @@ def write_capture(path: str | Path, state: ExperimentState,
         "mask": {"total": mask.total,
                  "indices": mask.indices.tolist(),
                  "ratio": mask.ratio},
-        "visible": {"indices": list(idx), "values": list(values)},
+        "visible": {"indices": mask.complement().tolist(),
+                    "values": update.plaintext_sparse.tolist()},
         "encrypted_chunks": [
             base64.b64encode(
                 ckks.serialize_ciphertext(ct, state.ctx)).decode()
@@ -567,24 +545,24 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
     records_path = out / "records.jsonl"
     ckpt_path = out / "checkpoint.bin"
 
-    lines: list[str] = []
+    kept: list[str] = []
     if resume:
         if not ckpt_path.exists():
             raise ConfigError(f"cannot resume: {ckpt_path} does not exist")
         load_checkpoint(ckpt_path, cfg, state)
         if records_path.exists():
             kept = records_path.read_text().splitlines()[:state.round_index]
-            if len(kept) < state.round_index:
-                raise ConfigError(
-                    "records.jsonl has fewer rounds than the checkpoint")
-            lines = kept
+        if len(kept) < state.round_index:
+            raise ConfigError(
+                "records.jsonl has fewer rounds than the checkpoint")
+    records_path.write_text("".join(line + "\n" for line in kept))
 
     stage_totals = dict.fromkeys(_STAGES, 0.0)
     while state.round_index < cfg.rounds:
         pre_round_flat = state.model.flat.copy()
         record, updates, _, mask = run_round(state)
-        lines.append(record.to_json())
-        records_path.write_text("\n".join(lines) + "\n")
+        with records_path.open("a") as fh:
+            fh.write(record.to_json() + "\n")
         for name in _STAGES:
             stage_totals[name] += record.wall_ms[name]
         if cfg.single_step and record.round_index == 1:

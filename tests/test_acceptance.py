@@ -170,7 +170,7 @@ def test_criterion_4_dlg_defense(acceptance_log):
             update, _ = client_update(state, 0, mask)
             x, y = single_step_batch(state, 0, 1)
             result = attack_example(state.model,
-                                    visible_view(update, mask.total),
+                                    visible_view(update, mask),
                                     x[0], int(y[0]), AttackConfig(), seed)
             hits[ratio] += result.success
             if ratio == 1.0:

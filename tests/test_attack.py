@@ -126,7 +126,7 @@ def test_visible_view_matches_protocol_complement():
     state = protocol.init_experiment(cfg)
     mask = protocol.round_mask(state)
     update, _ = protocol.client_update(state, 0, mask)
-    vis = visible_view(update, mask.total)
+    vis = visible_view(update, mask)
     assert vis.total == state.model.size
     assert np.array_equal(vis.indices, mask.complement())
     raw, _ = protocol.local_update_vector(state, 0)

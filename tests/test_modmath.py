@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hefl.ckks.modmath import (addmod, bit_reverse, is_prime,
-                               largest_ntt_primes, mulhi64, mulmod_shoup,
-                               primitive_root_2n, shoup, submod)
+from hefl.ckks import NTT, RnsPoly
+from hefl.ckks.modmath import (bit_reverse, is_prime, largest_ntt_primes,
+                               mulhi64, mulmod_shoup, primitive_root_2n,
+                               shoup)
 
 U64_MAX = 2**64 - 1
 
@@ -41,12 +42,21 @@ def test_mulmod_shoup_vectorized_lanes():
     assert np.array_equal(got.astype(object), expect)
 
 
-def test_addmod_submod_wraparound():
-    q = np.uint64(2**62 - 57)  # not prime, irrelevant here
-    a = np.array([2**62 - 58], dtype=np.uint64)
-    b = np.array([2**62 - 59], dtype=np.uint64)
-    assert int(addmod(a, b, q)[0]) == (int(a[0]) + int(b[0])) % int(q)
-    assert int(submod(b, a, q)[0]) == (int(b[0]) - int(a[0])) % int(q)
+def test_add_negate_wraparound(ctx_paper):
+    # residues next to each 60/52-bit chain prime: sums past q, a sum of
+    # exactly q, and the negation of zero
+    q = ctx_paper.chain_u64[:, None]
+    zero, one = np.zeros_like(q), np.ones_like(q)
+    a = RnsPoly(np.hstack([q - 1, q - 2, zero, one]), NTT)
+    b = RnsPoly(np.hstack([q - 2, one, q - 1, q - 1]), NTT)
+    big_q = q.astype(object)
+    big_a, big_b = a.residues.astype(object), b.residues.astype(object)
+    got = ctx_paper.add(a, b).residues
+    assert np.array_equal(got.astype(object), (big_a + big_b) % big_q)
+    neg = ctx_paper.negate(a)
+    assert np.array_equal(neg.residues.astype(object), -big_a % big_q)
+    got = ctx_paper.add(b, neg).residues
+    assert np.array_equal(got.astype(object), (big_b - big_a) % big_q)
 
 
 @pytest.mark.parametrize("n,expected", [
