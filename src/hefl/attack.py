@@ -185,6 +185,8 @@ def attack_example(model: ModelState, visible: VisibleUpdate,
     the result records which one was used).
     """
     cfg = cfg or AttackConfig()
+    if cfg.restarts < 1:
+        raise UsageError("restarts must be at least 1")
     target_x = np.asarray(target_x, dtype=np.float64).reshape(-1)
     if target_x.size != model.arch.input_size:
         raise UsageError(
@@ -231,16 +233,32 @@ def load_capture(path: str | Path) -> dict:
             int(raw["mask"]["total"]))
         x = np.asarray(raw["example"]["x"], dtype=np.float64)
         y = np.asarray(raw["example"]["y"], dtype=np.int64)
+        meta = {"round": raw["round"], "client_id": raw["client_id"],
+                "encryption_ratio": raw["mask"]["ratio"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"capture {path} is malformed: {exc}", 0) from None
+    size = layer_layout(arch)[-1].end
+    idx = visible.indices
+    if idx.ndim != 1 or np.any(np.diff(idx) <= 0) or (
+            idx.size and not (0 <= idx[0] and idx[-1] < visible.total)):
+        raise ParseError(f"capture {path}: visible indices are not strictly "
+                         f"increasing inside [0, {visible.total})", 0)
+    if visible.values.shape != idx.shape:
+        raise ParseError(f"capture {path}: {visible.values.size} visible "
+                         f"values for {idx.size} indices", 0)
+    if visible.total != size or model.size != size:
+        raise ParseError(f"capture {path}: mask total {visible.total} and "
+                         f"{model.size} model weights, the architecture has "
+                         f"{size} parameters", 0)
     if x.ndim < 2 or x.shape[0] != 1 or x[0].size != arch.input_size:
         raise UsageError(
             "attack captures must hold exactly one example "
             f"(got batch shape {x.shape}); rerun with batch_size 1")
+    if y.shape != (1,) or not 0 <= y[0] < arch.n_classes:
+        raise ParseError(f"capture {path}: the example needs one label in "
+                         f"[0, {arch.n_classes}), got {y.tolist()}", 0)
     return {"model": model, "visible": visible, "x": x[0].reshape(-1),
-            "y": int(y[0]),
-            "round": raw["round"], "client_id": raw["client_id"],
-            "encryption_ratio": raw["mask"]["ratio"]}
+            "y": int(y[0]), **meta}
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

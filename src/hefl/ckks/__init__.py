@@ -5,7 +5,7 @@ from .encoding import Plaintext, decode, encode
 from .keys import PublicKey, SecretKey, keygen
 from .ops import (Ciphertext, decrypt, encrypt, he_add, he_mul_scalar,
                   noise_budget_estimate, rescale)
-from .params import CkksParams, get_profile, profile_names
+from .params import CkksParams, get_profile
 from .serialize import (deserialize_ciphertext, deserialize_public_key,
                         deserialize_secret_key, serialize_ciphertext,
                         serialize_public_key, serialize_secret_key)
@@ -16,7 +16,7 @@ __all__ = [
     "PublicKey", "SecretKey", "keygen",
     "Ciphertext", "decrypt", "encrypt", "he_add", "he_mul_scalar",
     "noise_budget_estimate", "rescale",
-    "CkksParams", "get_profile", "profile_names",
+    "CkksParams", "get_profile",
     "deserialize_ciphertext", "deserialize_public_key",
     "deserialize_secret_key", "serialize_ciphertext",
     "serialize_public_key", "serialize_secret_key",

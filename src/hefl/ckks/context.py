@@ -37,9 +37,6 @@ class RnsPoly:
     def level(self) -> int:
         return self.residues.shape[0] - 1
 
-    def copy(self) -> "RnsPoly":
-        return RnsPoly(self.residues.copy(), self.domain)
-
 
 class CkksContext:
     def __init__(self, params: CkksParams):

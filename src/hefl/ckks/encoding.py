@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import EncodingRangeError, UsageError
 from .context import COEFF, CkksContext, RnsPoly
+from .modmath import U64, shoup
 
 # Signed coefficients must stay inside int64 for the residue lift.
 _COEFF_WORD_LIMIT = float(2**62)
@@ -32,20 +33,15 @@ class Plaintext:
     poly: RnsPoly
     scale: float
     level: int
-    slot_count: int
     value_bits: float = 0.0
 
 
-def encode(values: np.ndarray, ctx: CkksContext, level: int | None = None,
-           scale: float | None = None) -> Plaintext:
+def encode(values: np.ndarray, ctx: CkksContext) -> Plaintext:
+    """Top-level plaintext of a slot vector at the profile's scale."""
     params = ctx.params
     n = params.ring_dim
-    if level is None:
-        level = params.top_level
-    if scale is None:
-        scale = params.scale
-    if not 0 <= level <= params.top_level:
-        raise UsageError(f"level {level} outside chain of {params.level_count}")
+    level = params.top_level
+    scale = params.scale
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size > n // 2:
         raise UsageError(
@@ -69,8 +65,8 @@ def encode(values: np.ndarray, ctx: CkksContext, level: int | None = None,
 
     rounded = np.rint(coeffs).astype(np.int64)
     peak = float(np.max(np.abs(values))) if values.size else 0.0
-    return Plaintext(ctx.lift_signed(rounded, level), float(scale), level,
-                     values.size, math.log2(max(peak, 1.0)))
+    return Plaintext(ctx.lift_signed(rounded, level), scale, level,
+                     math.log2(max(peak, 1.0)))
 
 
 def decode(pt: Plaintext, ctx: CkksContext) -> np.ndarray:
@@ -93,14 +89,11 @@ def encode_scalar_residues(scalar: float, ctx: CkksContext,
     identical coefficient and NTT forms, so the residues multiply
     pointwise in either domain.
     """
-    from .modmath import U64, shoup
-
     target = float(scalar) * ctx.params.scale
     fixed = int(np.rint(target))
     # Residues represent any integer exactly; only a constant too large
     # for the level's composite modulus is unrecoverable on decode.
-    q_level = math.prod(ctx.params.modulus_chain[:level + 1])
-    if 2 * abs(fixed) >= q_level:
+    if 2 * abs(fixed) >= ctx.level_modulus[level]:
         raise EncodingRangeError(
             f"scalar {scalar} at scale 2^{ctx.params.log2_scale} exceeds "
             f"the level-{level} modulus")

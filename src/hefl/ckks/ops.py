@@ -17,8 +17,8 @@ from ..errors import DecryptionIntegrityError, DepthExhaustedError, UsageError
 from .context import COEFF, NTT, SIGMA, CkksContext, RnsPoly
 from .encoding import Plaintext, encode_scalar_residues
 from .keys import ENCRYPT_STREAM, PublicKey, SecretKey
-from .modmath import U64, mulmod_shoup
-from .ntt import ntt_forward, ntt_inverse
+from .modmath import U64
+from .ntt import ntt_inverse
 
 
 @dataclass
@@ -36,10 +36,6 @@ class Ciphertext:
     scale: float
     noise_bits: float
     value_bits: float
-
-    @property
-    def slot_count(self) -> int:
-        return self.c0.residues.shape[1] // 2
 
 
 def _fresh_noise_bits(ring_dim: int) -> float:
@@ -78,12 +74,13 @@ def encrypt(pt: Plaintext, pk: PublicKey, ctx: CkksContext,
     top = params.top_level
 
     v = ctx.to_ntt(ctx.lift_signed(ctx.sample_ternary(rng), top))
-    e0 = ctx.to_ntt(ctx.lift_signed(ctx.sample_gaussian(rng), top))
+    e0 = ctx.lift_signed(ctx.sample_gaussian(rng), top)
     e1 = ctx.to_ntt(ctx.lift_signed(ctx.sample_gaussian(rng), top))
-    m = ctx.to_ntt(pt.poly)
+    # the NTT is linear mod q, so e0 joins the message before its one NTT
+    m_e0 = ctx.to_ntt(ctx.add(pt.poly, e0))
 
     rows = slice(0, top + 1)
-    c0 = ctx.add(ctx.add(ctx.mul_fixed(v, pk.b_ntt[rows], pk.b_sh[rows]), e0), m)
+    c0 = ctx.add(ctx.mul_fixed(v, pk.b_ntt[rows], pk.b_sh[rows]), m_e0)
     c1 = ctx.add(ctx.mul_fixed(v, pk.a_ntt[rows], pk.a_sh[rows]), e1)
     return Ciphertext(c0, c1, top, pt.scale,
                       _fresh_noise_bits(params.ring_dim), pt.value_bits)
@@ -96,7 +93,7 @@ def decrypt(ct: Ciphertext, sk: SecretKey, ctx: CkksContext) -> Plaintext:
     rows = slice(0, ct.level + 1)
     c1_s = ctx.mul_fixed(ct.c1, sk.s_ntt[rows], sk.s_sh[rows])
     raw = ctx.to_coeff(ctx.add(ct.c0, c1_s))
-    return Plaintext(raw, ct.scale, ct.level, ct.slot_count, ct.value_bits)
+    return Plaintext(raw, ct.scale, ct.level, ct.value_bits)
 
 
 def he_add(a: Ciphertext, b: Ciphertext, ctx: CkksContext) -> Ciphertext:
@@ -134,22 +131,17 @@ def rescale(ct: Ciphertext, ctx: CkksContext) -> Ciphertext:
             "modulus chain exhausted: only the reserved base prime would remain")
     params = ctx.params
     q_top = params.modulus_chain[lvl]
-    inv = ctx.rescale_inv[lvl]
-    inv_sh = ctx.rescale_inv_sh[lvl]
 
     def drop(comp: RnsPoly) -> RnsPoly:
+        # (c - [c]_q_top) * q_top^-1 on the lower primes, with the top
+        # residue centred so the division rounds to nearest
         last = ntt_inverse(comp.residues[lvl], ctx.ntt_tables[lvl])
         signed = last.astype(np.int64)
         signed = np.where(last > U64(q_top // 2), signed - q_top, signed)
-        rows = np.empty((lvl, params.ring_dim), dtype=U64)
-        for i in range(lvl):
-            q_i = params.modulus_chain[i]
-            corr = ntt_forward(np.mod(signed, q_i).astype(U64),
-                               ctx.ntt_tables[i])
-            diff = comp.residues[i] + (U64(q_i) - corr)
-            diff = np.where(diff >= U64(q_i), diff - U64(q_i), diff)
-            rows[i] = mulmod_shoup(diff, inv[i], inv_sh[i], U64(q_i))
-        return RnsPoly(rows, NTT)
+        corr = ctx.to_ntt(ctx.lift_signed(signed, lvl - 1))
+        diff = ctx.add(RnsPoly(comp.residues[:lvl], NTT), ctx.negate(corr))
+        return ctx.mul_fixed(diff, ctx.rescale_inv[lvl],
+                             ctx.rescale_inv_sh[lvl])
 
     noise = float(np.logaddexp2(ct.noise_bits - math.log2(q_top),
                                 _rescale_added_bits(params.ring_dim)))

@@ -101,7 +101,3 @@ def get_profile(name: str) -> CkksParams:
             f"unknown ckks profile {name!r}; choose from {sorted(_PROFILE_SHAPES)}"
         ) from None
     return _build_profile(name, ring_dim, chain_bits, log2_scale)
-
-
-def profile_names() -> list[str]:
-    return sorted(_PROFILE_SHAPES)

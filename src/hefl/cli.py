@@ -191,12 +191,13 @@ def cmd_report(args: argparse.Namespace) -> None:
         try:
             summary = json.loads((run / "summary.json").read_text())
             lines = (run / "records.jsonl").read_text().splitlines()
+            records = [json.loads(ln) for ln in lines if ln]
         except OSError as exc:
             raise ConfigError(f"run directory {run} is unreadable: {exc}") \
                 from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{run} holds invalid JSON: {exc}") from None
-        summary["records"] = [json.loads(ln) for ln in lines if ln]
+        summary["records"] = records
         summaries.append(summary)
     emit_reports(summaries, args.out)
     print(f"report over {len(summaries)} runs -> {args.out}")

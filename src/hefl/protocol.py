@@ -48,6 +48,8 @@ KEY_SEED_STREAM = 0x6B7365
 GLOBAL_ETA = 1.0
 
 CHECKPOINT_MAGIC = "hefl-checkpoint"
+_CHECKPOINT_KEYS = {"config_digest", "layout", "param_count",
+                    "has_prev_update", "round"}
 _STAGES = ("train", "encrypt", "aggregate_he", "aggregate_plain", "decrypt")
 
 
@@ -92,6 +94,9 @@ class FlConfig:
             raise ConfigError("local_epochs and batch_size must be positive")
         if self.lr <= 0 or self.clip <= 0:
             raise ConfigError("lr and clip must be positive")
+        if self.lr_step_rounds < 1 or self.checkpoint_every < 1:
+            raise ConfigError(
+                "lr_step_rounds and checkpoint_every must be positive")
         if self.arch not in ("mlp2", "conv-s", "linear"):
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.dataset != "toy" and not self.dataset.startswith("cifar10:"):
@@ -272,16 +277,13 @@ def local_update_vector(state: ExperimentState,
         raise UsageError(f"client_id {client_id} out of range")
     shard = state.shards[client_id]
     rnd = state.round_index + 1
-    rng = np.random.default_rng(np.random.SeedSequence(
-        (CLIENT_STREAM, cfg.seed, rnd, client_id)))
 
     if cfg.single_step:
-        take = min(cfg.batch_size, len(shard))
-        pick = rng.permutation(len(shard))[:take]
-        local_loss, grad = forward_backward(state.model, shard.x[pick],
-                                            shard.y[pick])
-        update = grad
+        x, y = single_step_batch(state, client_id, rnd)
+        local_loss, update = forward_backward(state.model, x, y)
     else:
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (CLIENT_STREAM, cfg.seed, rnd, client_id)))
         local = ModelState(state.arch, state.model.flat.copy())
         opt = SgdState(base_lr=cfg.lr, momentum=cfg.momentum,
                        weight_decay=cfg.weight_decay,
@@ -466,8 +468,13 @@ def load_checkpoint(path: str | Path, cfg: FlConfig,
         header = json.loads(raw[4:4 + head_len])
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise ConfigError("checkpoint header is not valid JSON") from None
+    if not isinstance(header, dict):
+        raise ConfigError("checkpoint header is not a JSON object")
     if header.get("format") != CHECKPOINT_MAGIC or header.get("version") != 1:
         raise ConfigError("not a recognized checkpoint file")
+    missing = _CHECKPOINT_KEYS - header.keys()
+    if missing:
+        raise ConfigError(f"checkpoint header lacks {sorted(missing)}")
     if header["config_digest"] != cfg.digest():
         raise ConfigError(
             "checkpoint was produced by a different configuration")

@@ -1,5 +1,8 @@
 """Gradient-inversion attack: objective, label rule, reconstruction limits."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,37 @@ def test_load_capture_rejects_malformed(tmp_path):
     bad.write_text("{\"round\": 1}")
     with pytest.raises(ParseError, match="malformed"):
         load_capture(bad)
+
+    # fields that parse but disagree with each other or the architecture
+    cfg = protocol.config_from_dict(dict(
+        clients=1, rounds=1, encryption_ratio=0.5, batch_size=1,
+        local_epochs=1, train_size=16, test_size=16, seed=3,
+        single_step=True, calibration_batches=1))
+    protocol.run_experiment(cfg, tmp_path / "run")
+    good = json.loads((tmp_path / "run" / "capture_r1_c0.json").read_text())
+    vis, mask = good["visible"], good["mask"]
+    flat = base64.b64decode(good["model_flat"])
+    cases = [
+        ("visible", {**vis, "indices": vis["indices"][:-1] + [mask["total"]]},
+         "strictly increasing"),
+        ("visible", {**vis, "indices": [-1] + vis["indices"][1:]},
+         "strictly increasing"),
+        ("visible", {**vis, "indices": vis["indices"][::-1]},
+         "strictly increasing"),
+        ("visible", {**vis, "values": vis["values"][:-1]}, "visible values"),
+        ("mask", {**mask, "total": mask["total"] + 1}, "parameters"),
+        ("model_flat", base64.b64encode(flat[:-8]).decode(), "parameters"),
+        ("example", {**good["example"], "y": []}, "one label"),
+        ("example", {**good["example"], "y": [cfg.n_classes]}, "one label"),
+        ("round", None, "malformed"),
+    ]
+    for key, value, match in cases:
+        cap = {k: v for k, v in good.items() if k != key}
+        if value is not None:
+            cap[key] = value
+        bad.write_text(json.dumps(cap))
+        with pytest.raises(ParseError, match=match):
+            load_capture(bad)
 
 
 def test_pgm_writer_golden(tmp_path):

@@ -1,5 +1,7 @@
 """End-to-end homomorphic pipeline: keygen, encrypt, add, scale, noise."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,30 @@ def test_paper_profile_precision(ctx_paper, keys_paper, rng):
     low = ckks.rescale(ckks.he_mul_scalar(ct, 0.25, ctx_paper), ctx_paper)
     out = ckks.decode(ckks.decrypt(low, sk, ctx_paper), ctx_paper)
     assert np.max(np.abs(out - 0.25 * v)) < 1e-5
+
+
+# sha256 of sk + pk + fresh ciphertext + rescaled ciphertext; a change to
+# these bits breaks the byte-determinism promised for keys and ciphertexts
+GOLDEN_DIGESTS = {
+    "test-small":
+        "a25fd6c08ff6b1b6a77c4379b7b27afc5a3c65d22441c08992fae0b496ea12d5",
+    "paper-128":
+        "bf5519f11af2c383ee9c7c0a60b5361b0e65de974efd31aa4d62bec830a9925b",
+}
+
+
+@pytest.mark.parametrize("profile, fixtures", [
+    ("test-small", ("ctx_small", "keys_small")),
+    ("paper-128", ("ctx_paper", "keys_paper")),
+])
+def test_key_and_ciphertext_bits_pinned(profile, fixtures, request):
+    ctx, (sk, pk) = (request.getfixturevalue(f) for f in fixtures)
+    values = np.linspace(-2, 2, ctx.params.slot_count)
+    ct = ckks.encrypt(ckks.encode(values, ctx), pk, ctx, (7, 1))
+    low = ckks.rescale(ckks.he_mul_scalar(ckks.he_add(ct, ct, ctx), 1 / 3,
+                                          ctx), ctx)
+    blob = (ckks.serialize_secret_key(sk, ctx)
+            + ckks.serialize_public_key(pk, ctx)
+            + ckks.serialize_ciphertext(ct, ctx)
+            + ckks.serialize_ciphertext(low, ctx))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[profile]

@@ -65,6 +65,21 @@ def test_bench_rejects_zero_repeats(capsys):
     assert code == EXIT_USAGE and "repeats" in err
 
 
+def test_attack_rejects_zero_restarts(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "clients": 1, "rounds": 1, "batch_size": 1, "local_epochs": 1,
+        "train_size": 16, "test_size": 16, "single_step": True,
+        "calibration_batches": 1,
+    }))
+    assert run(capsys, "train", "--config", str(cfg),
+               "--out", str(tmp_path / "run"))[0] == 0
+    code, _, err = run(capsys, "attack", "--capture",
+                       str(tmp_path / "run" / "capture_r1_c0.json"),
+                       "--out", str(tmp_path / "atk"), "--restarts", "0")
+    assert code == EXIT_USAGE and "restarts" in err
+
+
 def test_attack_missing_capture_exits_io(tmp_path, capsys):
     code, _, err = run(capsys, "attack", "--capture",
                        str(tmp_path / "none.json"), "--out", str(tmp_path))
@@ -123,4 +138,12 @@ def test_report_missing_run_exits_config(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--runs", str(tmp_path / "ghost"),
                        "--out", str(tmp_path / "rep"))
     assert code == EXIT_CONFIG and "unreadable" in err
+    assert not (tmp_path / "rep").exists()
+    run_dir = tmp_path / "corrupt"
+    run_dir.mkdir()
+    (run_dir / "summary.json").write_text("{}")
+    (run_dir / "records.jsonl").write_text("{not json\n")
+    code, _, err = run(capsys, "report", "--runs", str(run_dir),
+                       "--out", str(tmp_path / "rep"))
+    assert code == EXIT_CONFIG and "invalid JSON" in err
     assert not (tmp_path / "rep").exists()

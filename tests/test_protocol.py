@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ def test_config_precedence_and_unknown_keys():
     {"arch": "resnet"},
     {"dataset": "imagenet"},
     {"lr": 0.0},
+    {"checkpoint_every": 0},
+    {"lr_step_rounds": 0},
 ])
 def test_config_validation_rejects(patch):
     with pytest.raises(ConfigError):
@@ -216,6 +219,13 @@ def test_resume_guards(tmp_path):
         load_checkpoint(tmp_path / "checkpoint.bin", cfg, state)
     with pytest.raises(ConfigError, match="does not exist"):
         run_experiment(cfg, tmp_path / "fresh", resume=True)
+    for header, match in ((b"[]", "not a JSON object"),
+                          (b'{"format": "hefl-checkpoint", "version": 1}',
+                           "lacks")):
+        (tmp_path / "checkpoint.bin").write_bytes(
+            struct.pack("<I", len(header)) + header + raw[-8:])
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(cfg, tmp_path, resume=True)
 
 
 def test_resume_requires_matching_records(tmp_path):
