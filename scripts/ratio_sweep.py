@@ -8,11 +8,10 @@ Usage: python scripts/ratio_sweep.py OUT [--ratios 0,0.1,0.5,1.0] [--seed N]
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from hefl.metrics import emit_reports
+from hefl.metrics import emit_reports, load_run
 from hefl.protocol import config_from_dict, run_experiment
 
 
@@ -36,9 +35,8 @@ def main() -> int:
             "sensitivity_method": args.sensitivity_method,
         })
         run_dir = out / f"run_r{ratio:g}"
-        summary = run_experiment(cfg, run_dir)
-        lines = (run_dir / "records.jsonl").read_text().splitlines()
-        summary["records"] = [json.loads(ln) for ln in lines]
+        run_experiment(cfg, run_dir)
+        summary = load_run(run_dir)
         summaries.append(summary)
         print(f"ratio {ratio:g}: test accuracy "
               f"{summary['final_test_accuracy']:.4f}, "

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .model import forward_backward, layer_layout, make_architecture
+from .model import forward_backward, make_architecture
 from .model.nets import Architecture, ModelState
 
 ATTACK_STREAM = 0x61746B
@@ -94,7 +94,7 @@ def infer_label(visible: VisibleUpdate, arch: Architecture) -> int | None:
     """
     if visible.count == 0:
         return None
-    slot = next(s for s in layer_layout(arch) if s.name == "out.weight")
+    slot = arch.slots["out.weight"]
     span = np.arange(slot.start, slot.end, dtype=np.int64)
     pos = np.searchsorted(visible.indices, span)
     covered = (pos < visible.count) & (
@@ -237,7 +237,7 @@ def load_capture(path: str | Path) -> dict:
                 "encryption_ratio": raw["mask"]["ratio"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"capture {path} is malformed: {exc}", 0) from None
-    size = layer_layout(arch)[-1].end
+    size = arch.layout[-1].end
     idx = visible.indices
     if idx.ndim != 1 or np.any(np.diff(idx) <= 0) or (
             idx.size and not (0 <= idx[0] and idx[-1] < visible.total)):

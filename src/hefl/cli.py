@@ -22,8 +22,8 @@ import numpy as np
 
 from . import ckks
 from .attack import AttackConfig, attack_example, load_capture, write_pgm
-from .errors import EXIT_IO, EXIT_USAGE, ConfigError, HeflError, UsageError
-from .metrics import emit_reports
+from .errors import EXIT_IO, EXIT_USAGE, HeflError, UsageError
+from .metrics import emit_reports, load_run
 from .protocol import config_from_dict, load_config, run_experiment
 
 _BENCH_OPS = ("encode", "encrypt", "he_add", "mul_rescale", "decrypt")
@@ -185,20 +185,7 @@ def cmd_attack(args: argparse.Namespace) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> None:
-    summaries = []
-    for run_dir in args.runs:
-        run = Path(run_dir)
-        try:
-            summary = json.loads((run / "summary.json").read_text())
-            lines = (run / "records.jsonl").read_text().splitlines()
-            records = [json.loads(ln) for ln in lines if ln]
-        except OSError as exc:
-            raise ConfigError(f"run directory {run} is unreadable: {exc}") \
-                from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{run} holds invalid JSON: {exc}") from None
-        summary["records"] = records
-        summaries.append(summary)
+    summaries = [load_run(run_dir) for run_dir in args.runs]
     emit_reports(summaries, args.out)
     print(f"report over {len(summaries)} runs -> {args.out}")
 

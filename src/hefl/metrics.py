@@ -32,6 +32,30 @@ _REQUIRED = ("encryption_ratio", "sensitivity_method", "rounds",
 
 _RECORD_COLUMNS = ("round", "encryption_ratio", "mask_count",
                    "train_accuracy", "test_accuracy", "avg_train_loss")
+# per-round columns taken from each record; the ratio comes from the summary
+_RECORD_KEYS = tuple(c for c in _RECORD_COLUMNS if c != "encryption_ratio")
+
+
+def load_run(run_dir: str | Path) -> dict:
+    """A run's summary.json with its records.jsonl rows under "records"."""
+    run = Path(run_dir)
+    try:
+        summary = json.loads((run / "summary.json").read_text())
+        lines = (run / "records.jsonl").read_text().splitlines()
+        records = [json.loads(ln) for ln in lines if ln]
+    except OSError as exc:
+        raise ConfigError(f"run directory {run} is unreadable: {exc}") \
+            from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{run} holds invalid JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{run / 'summary.json'} is not a JSON object")
+    for i, rec in enumerate(records, 1):
+        if not isinstance(rec, dict) or not rec.keys() >= set(_RECORD_KEYS):
+            raise ConfigError(f"{run / 'records.jsonl'} record {i} is not a "
+                              f"JSON object with keys {list(_RECORD_KEYS)}")
+    summary["records"] = records
+    return summary
 
 
 def normalized_efficiency(values) -> np.ndarray:

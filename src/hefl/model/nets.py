@@ -6,7 +6,7 @@ Three architectures are registered:
     conv-s  one 5x5 valid conv (4 channels), 2x2 average pool, linear head
     linear  a single linear layer (used by closed-form gradient oracles)
 
-Parameters live in one flat float64 vector; the layout table maps layer
+Parameters live in one flat float64 vector; `Architecture.layout` maps layer
 names to slices so gradients, checkpoints and selection masks all share
 the same indexing.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,22 +30,58 @@ _POOL = 2
 
 
 @dataclass(frozen=True)
-class Architecture:
-    name: str
-    input_shape: tuple[int, ...]
-    n_classes: int
-
-    @property
-    def input_size(self) -> int:
-        return int(np.prod(self.input_shape))
-
-
-@dataclass(frozen=True)
 class LayerSlot:
     name: str
     shape: tuple[int, ...]
     start: int
     end: int
+
+
+@dataclass(frozen=True)
+class Architecture:
+    name: str
+    input_shape: tuple[int, ...]
+    n_classes: int
+
+    @cached_property
+    def input_size(self) -> int:
+        return int(math.prod(self.input_shape))
+
+    @cached_property
+    def layout(self) -> tuple[LayerSlot, ...]:
+        """Parameter slots in flat-vector order, weight before bias."""
+        if self.name == "mlp2":
+            dims = [self.input_size, *_MLP_HIDDEN, self.n_classes]
+            names = ["fc1", "fc2", "out"]
+            shapes = []
+            for i, nm in enumerate(names):
+                shapes.append((f"{nm}.weight", (dims[i + 1], dims[i])))
+                shapes.append((f"{nm}.bias", (dims[i + 1],)))
+        elif self.name == "conv-s":
+            _, _, ph, pw = _conv_dims(self)
+            feat = _CONV_CHANNELS * ph * pw
+            shapes = [
+                ("conv.weight", (_CONV_CHANNELS, _CONV_KERNEL, _CONV_KERNEL)),
+                ("conv.bias", (_CONV_CHANNELS,)),
+                ("out.weight", (self.n_classes, feat)),
+                ("out.bias", (self.n_classes,)),
+            ]
+        else:
+            shapes = [
+                ("out.weight", (self.n_classes, self.input_size)),
+                ("out.bias", (self.n_classes,)),
+            ]
+        slots = []
+        pos = 0
+        for name, shape in shapes:
+            size = math.prod(shape)
+            slots.append(LayerSlot(name, shape, pos, pos + size))
+            pos += size
+        return tuple(slots)
+
+    @cached_property
+    def slots(self) -> dict[str, LayerSlot]:
+        return {s.name: s for s in self.layout}
 
 
 def make_architecture(name: str, input_shape: tuple[int, ...],
@@ -70,37 +107,6 @@ def _conv_dims(arch: Architecture) -> tuple[int, int, int, int]:
     return oh, ow, oh // _POOL, ow // _POOL
 
 
-def layer_layout(arch: Architecture) -> list[LayerSlot]:
-    if arch.name == "mlp2":
-        dims = [arch.input_size, *_MLP_HIDDEN, arch.n_classes]
-        names = ["fc1", "fc2", "out"]
-        shapes = []
-        for i, nm in enumerate(names):
-            shapes.append((f"{nm}.weight", (dims[i + 1], dims[i])))
-            shapes.append((f"{nm}.bias", (dims[i + 1],)))
-    elif arch.name == "conv-s":
-        _, _, ph, pw = _conv_dims(arch)
-        feat = _CONV_CHANNELS * ph * pw
-        shapes = [
-            ("conv.weight", (_CONV_CHANNELS, _CONV_KERNEL, _CONV_KERNEL)),
-            ("conv.bias", (_CONV_CHANNELS,)),
-            ("out.weight", (arch.n_classes, feat)),
-            ("out.bias", (arch.n_classes,)),
-        ]
-    else:
-        shapes = [
-            ("out.weight", (arch.n_classes, arch.input_size)),
-            ("out.bias", (arch.n_classes,)),
-        ]
-    slots = []
-    pos = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape))
-        slots.append(LayerSlot(name, shape, pos, pos + size))
-        pos += size
-    return slots
-
-
 @dataclass
 class ModelState:
     arch: Architecture
@@ -117,12 +123,11 @@ class ModelState:
 def build_model(arch: Architecture, seed: int) -> ModelState:
     """Uniform +-1/sqrt(fan_in) init per layer, weight then bias order."""
     rng = np.random.default_rng(np.random.SeedSequence((INIT_STREAM, seed)))
-    layout = layer_layout(arch)
-    flat = np.empty(layout[-1].end, dtype=np.float64)
+    flat = np.empty(arch.layout[-1].end, dtype=np.float64)
     model = ModelState(arch, flat)
-    for slot in layout:
+    for slot in arch.layout:
         if slot.name.endswith(".weight"):
-            fan_in = int(np.prod(slot.shape[1:]))
+            fan_in = math.prod(slot.shape[1:])
             bound = 1.0 / math.sqrt(fan_in)
         # bias reuses its weight's fan-in bound, drawn right after it
         flat[slot.start:slot.end] = rng.uniform(-bound, bound,
@@ -151,24 +156,18 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
             raise NumericError(f"non-finite values in layer {name!r}")
 
 
-def _pool_indices(arch: Architecture) -> np.ndarray:
+def _patch_indices(arch: Architecture) -> np.ndarray:
+    """Flat pixel indices of each valid conv window, one row per output."""
     h, w = arch.input_shape
-    oh, ow = h - _CONV_KERNEL + 1, w - _CONV_KERNEL + 1
-    idx = np.empty((oh * ow, _CONV_KERNEL * _CONV_KERNEL), dtype=np.intp)
-    k = 0
-    for oy in range(oh):
-        for ox in range(ow):
-            patch = [(oy + ky) * w + (ox + kx)
-                     for ky in range(_CONV_KERNEL)
-                     for kx in range(_CONV_KERNEL)]
-            idx[k] = patch
-            k += 1
-    return idx
+    k = np.arange(_CONV_KERNEL)
+    corners = (np.arange(h - _CONV_KERNEL + 1)[:, None] * w
+               + np.arange(w - _CONV_KERNEL + 1))
+    return corners.reshape(-1, 1) + (k[:, None] * w + k).reshape(1, -1)
 
 
 def _forward(model: ModelState, x: np.ndarray) -> dict:
     arch = model.arch
-    layout = {s.name: s for s in layer_layout(arch)}
+    layout = arch.slots
     acts: dict = {"x": x}
     if arch.name == "mlp2":
         w1, b1 = model.view(layout["fc1.weight"]), model.view(layout["fc1.bias"])
@@ -182,7 +181,7 @@ def _forward(model: ModelState, x: np.ndarray) -> dict:
         wc = model.view(layout["conv.weight"]).reshape(_CONV_CHANNELS, -1)
         bc = model.view(layout["conv.bias"])
         wo, bo = model.view(layout["out.weight"]), model.view(layout["out.bias"])
-        idx = _pool_indices(arch)
+        idx = _patch_indices(arch)
         patches = x[:, idx]                       # (B, oh*ow, k*k)
         pre = patches @ wc.T + bc                 # (B, oh*ow, C)
         act = _sigmoid(pre)
@@ -195,7 +194,6 @@ def _forward(model: ModelState, x: np.ndarray) -> dict:
     else:
         wo, bo = model.view(layout["out.weight"]), model.view(layout["out.bias"])
         acts["logits"] = x @ wo.T + bo
-    acts["layout"] = layout
     return acts
 
 
@@ -203,13 +201,9 @@ def forward_logits(model: ModelState, x: np.ndarray) -> np.ndarray:
     return _forward(model, np.asarray(x, dtype=np.float64))["logits"]
 
 
-def forward_backward(model: ModelState, x: np.ndarray, y: np.ndarray,
-                     loss: str = "ce") -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its gradient as a flat vector.
-
-    loss="ce" is softmax cross-entropy on integer labels; loss="mse" is
-    0.5 * sum((logits - onehot)^2) averaged over the batch.
-    """
+def forward_backward(model: ModelState, x: np.ndarray,
+                     y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the batch and its flat gradient."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[1] != model.arch.input_size:
@@ -219,24 +213,15 @@ def forward_backward(model: ModelState, x: np.ndarray, y: np.ndarray,
     batch = x.shape[0]
     acts = _forward(model, x)
     logits = acts["logits"]
-    layout = acts["layout"]
+    layout = model.arch.slots
     _check_finite("out", logits)
 
-    if loss == "ce":
-        probs = _softmax(logits)
-        picked = probs[np.arange(batch), y]
-        loss_value = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-        dlogits = probs.copy()
-        dlogits[np.arange(batch), y] -= 1.0
-        dlogits /= batch
-    elif loss == "mse":
-        onehot = np.zeros_like(logits)
-        onehot[np.arange(batch), y] = 1.0
-        diff = logits - onehot
-        loss_value = float(0.5 * np.sum(diff * diff) / batch)
-        dlogits = diff / batch
-    else:
-        raise UsageError(f"unknown loss {loss!r}")
+    probs = _softmax(logits)
+    picked = probs[np.arange(batch), y]
+    loss_value = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    dlogits = probs.copy()
+    dlogits[np.arange(batch), y] -= 1.0
+    dlogits /= batch
 
     grad = np.zeros_like(model.flat)
 

@@ -42,7 +42,3 @@ def sgd_step(model: ModelState, grad: np.ndarray, state: SgdState) -> ModelState
     state.velocity = (state.momentum * state.velocity
                       + grad + state.weight_decay * model.flat)
     return ModelState(model.arch, model.flat - state.lr * state.velocity)
-
-
-def advance_epoch(state: SgdState) -> None:
-    state.epoch += 1

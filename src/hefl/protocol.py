@@ -34,9 +34,8 @@ from . import ckks
 from .errors import (ConfigError, DepthExhaustedError, ProtocolError,
                      UsageError)
 from .model import (Dataset, SgdState, build_model, evaluate,
-                    forward_backward, layer_layout, load_cifar10_batches,
-                    make_architecture, make_toy_dataset, partition_iid,
-                    sgd_step)
+                    forward_backward, load_cifar10_batches, make_architecture,
+                    make_toy_dataset, partition_iid, sgd_step)
 from .model.nets import Architecture, ModelState
 from .sensitivity import SelectionMask, jacobian_map, magnitude_map, select_top_r
 
@@ -152,8 +151,6 @@ class ClientUpdate:
     mask_fingerprint: str
     encrypted_chunks: list[ckks.Ciphertext]
     plaintext_sparse: np.ndarray         # float64 values at mask.complement()
-    sample_count: int
-    local_loss: float
 
 
 @dataclass
@@ -311,7 +308,7 @@ def client_update(state: ExperimentState, client_id: int,
     rnd = state.round_index + 1
 
     t0 = time.perf_counter()
-    update, local_loss = local_update_vector(state, client_id)
+    update, _ = local_update_vector(state, client_id)
     train_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -327,7 +324,7 @@ def client_update(state: ExperimentState, client_id: int,
     encrypt_s = time.perf_counter() - t1
 
     return (ClientUpdate(client_id, rnd, mask.fingerprint(), chunks,
-                         plaintext, len(state.shards[client_id]), local_loss),
+                         plaintext),
             {"train": train_s, "encrypt": encrypt_s})
 
 
@@ -433,16 +430,21 @@ def run_round(state: ExperimentState
 # ---- persistence -----------------------------------------------------------
 
 
+def _arch_header(arch: Architecture) -> dict:
+    return {"name": arch.name, "input_shape": list(arch.input_shape),
+            "n_classes": arch.n_classes}
+
+
+def _layout_header(arch: Architecture) -> list:
+    return [[s.name, list(s.shape), s.start, s.end] for s in arch.layout]
+
+
 def save_checkpoint(path: str | Path, state: ExperimentState) -> None:
-    layout = [[s.name, list(s.shape), s.start, s.end]
-              for s in layer_layout(state.arch)]
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": 1,
-        "arch": {"name": state.arch.name,
-                 "input_shape": list(state.arch.input_shape),
-                 "n_classes": state.arch.n_classes},
-        "layout": layout,
+        "arch": _arch_header(state.arch),
+        "layout": _layout_header(state.arch),
         "round": state.round_index,
         "param_count": state.model.size,
         "config_digest": state.config.digest(),
@@ -478,9 +480,7 @@ def load_checkpoint(path: str | Path, cfg: FlConfig,
     if header["config_digest"] != cfg.digest():
         raise ConfigError(
             "checkpoint was produced by a different configuration")
-    expect = [[s.name, list(s.shape), s.start, s.end]
-              for s in layer_layout(state.arch)]
-    if header["layout"] != expect:
+    if header["layout"] != _layout_header(state.arch):
         raise ConfigError("checkpoint layout does not match the model")
     count = header["param_count"]
     body = raw[4 + head_len:]
@@ -523,9 +523,7 @@ def write_capture(path: str | Path, state: ExperimentState,
     payload = {
         "round": update.round_index,
         "client_id": update.client_id,
-        "arch": {"name": state.arch.name,
-                 "input_shape": list(state.arch.input_shape),
-                 "n_classes": state.arch.n_classes},
+        "arch": _arch_header(state.arch),
         "mask": {"total": mask.total,
                  "indices": mask.indices.tolist(),
                  "ratio": mask.ratio},

@@ -11,8 +11,8 @@ from hefl.attack import (AttackConfig, VisibleUpdate, attack_example,
                          gradient_objective, infer_label, load_capture,
                          reconstruct, visible_view, write_pgm)
 from hefl.errors import ParseError, UsageError
-from hefl.model import (build_model, forward_backward, layer_layout,
-                        make_architecture, make_toy_dataset)
+from hefl.model import (build_model, forward_backward, make_architecture,
+                        make_toy_dataset)
 
 FAST = AttackConfig(iterations=60, restarts=2)
 
@@ -56,7 +56,7 @@ def test_label_inference_abstains():
     assert infer_label(empty, arch) is None
 
     # drop one coordinate of the output weight slab: no longer fully visible
-    slab = next(s for s in layer_layout(arch) if s.name == "out.weight")
+    slab = arch.slots["out.weight"]
     keep = vis.indices != slab.start
     partial = VisibleUpdate(vis.indices[keep], vis.values[keep], vis.total)
     assert infer_label(partial, arch) is None

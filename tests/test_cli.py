@@ -147,3 +147,12 @@ def test_report_missing_run_exits_config(tmp_path, capsys):
                        "--out", str(tmp_path / "rep"))
     assert code == EXIT_CONFIG and "invalid JSON" in err
     assert not (tmp_path / "rep").exists()
+    for summary, records in (("[]", ""), ("{}", '{"round": 1}\n'),
+                             ("{}", "[1]\n")):
+        (run_dir / "summary.json").write_text(summary)
+        (run_dir / "records.jsonl").write_text(records)
+        code, _, err = run(capsys, "report", "--runs", str(run_dir),
+                           "--out", str(tmp_path / "rep"))
+        assert code == EXIT_CONFIG and "not a JSON object" in err
+        assert err.startswith("hefl report: ") and err.count("\n") == 1
+        assert not (tmp_path / "rep").exists()
