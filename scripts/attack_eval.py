@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """Gradient-inversion success rate versus encryption ratio.
 
-For each ratio and seed: build a fresh model, take one example's
-gradient, hide the top-scoring fraction behind the mask, and try to
-reconstruct the input from the visible remainder.  Writes a CSV and
-prints a summary row per ratio.
+For each ratio and seed: set up the configs/attack-capture.json
+experiment at that ratio and seed, build round 1's shared mask, take
+client 0's single-step update, and try to reconstruct its input from
+the plaintext share an observer sees.  This is the path the
+acceptance suite's DLG criterion runs.  Writes a CSV and prints a
+summary row per ratio.
 
 Usage: python scripts/attack_eval.py OUT.csv [--ratios ...] [--seeds N]
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from hefl.attack import AttackConfig, VisibleUpdate, attack_example
-from hefl.model import (build_model, forward_backward, make_architecture,
-                        make_toy_dataset)
-from hefl.sensitivity import magnitude_map, select_top_r
+from hefl.attack import AttackConfig, attack_example, visible_view
+from hefl.protocol import (client_update, config_from_dict, init_experiment,
+                           round_mask, single_step_batch)
+
+CAPTURE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / \
+    "attack-capture.json"
 
 
 def main() -> int:
@@ -30,21 +35,21 @@ def main() -> int:
     ap.add_argument("--restarts", type=int, default=5)
     args = ap.parse_args()
 
-    arch = make_architecture("mlp2", (8, 8), 10)
-    cfg = AttackConfig(iterations=args.iterations, restarts=args.restarts)
+    base = json.loads(CAPTURE_CONFIG.read_text())
+    attack_cfg = AttackConfig(iterations=args.iterations,
+                              restarts=args.restarts)
     rows = ["encryption_ratio,seed,visible_count,input_mse,psnr_db,success,"
             "label_inferred"]
     for ratio in (float(r) for r in args.ratios.split(",")):
         wins, mses = 0, []
         for seed in range(args.seeds):
-            model = build_model(arch, seed)
-            data = make_toy_dataset(1, 1000 + seed, split=0)
-            x, y = data.x[0], int(data.y[0])
-            _, grad = forward_backward(model, x[None], np.array([y]))
-            mask = select_top_r(magnitude_map(grad), ratio)
-            plain = mask.complement()
-            visible = VisibleUpdate(plain, grad[plain], grad.size)
-            res = attack_example(model, visible, x, y, cfg, seed=seed)
+            state = init_experiment(config_from_dict(
+                dict(base, encryption_ratio=ratio, seed=seed)))
+            mask = round_mask(state)
+            update, _ = client_update(state, 0, mask)
+            x, y = single_step_batch(state, 0, 1)
+            res = attack_example(state.model, visible_view(update, mask),
+                                 x[0], int(y[0]), attack_cfg, seed=seed)
             wins += res.success
             mses.append(res.input_mse)
             rows.append(f"{ratio:.6f},{seed},{res.visible_count},"

@@ -1,4 +1,4 @@
-"""Leveled CKKS core: RNS representation, per-prime NTT, batch encoding."""
+"""Leveled CKKS core: RNS residue matrices, stacked NTT, batch encoding."""
 
 from .context import COEFF, NTT, CkksContext, RnsPoly, get_context
 from .encoding import Plaintext, decode, encode

@@ -1,21 +1,24 @@
 """Precomputed tables tying parameters to executable ring arithmetic.
 
-A context bundles the per-prime NTT tables, CRT reconstruction
-constants, rescale inverses and the slot permutation of the canonical
-embedding.  Contexts are cached per parameter set; all polynomial
-operations take the context explicitly.
+A context bundles the NTT tables of all chain primes stacked row by
+row, CRT reconstruction constants, rescale inverses and the slot
+permutation of the canonical embedding.  Every residue operation runs
+once over a polynomial's whole (primes x N) matrix, row i under prime i.
+Contexts are cached per parameter set; all polynomial operations take
+the context explicitly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ..errors import UsageError
-from .modmath import U64, mulmod_shoup, shoup
-from .ntt import PrimeNtt, make_prime_ntt, ntt_forward, ntt_inverse
+from .modmath import U64, mulmod_shoup, shoup_rows
+from .ntt import make_ntt, ntt_forward, ntt_inverse
 from .params import CkksParams
 
 COEFF = "coeff"
@@ -43,9 +46,8 @@ class CkksContext:
         params.validate()
         self.params = params
         n = params.ring_dim
-        self.ntt_tables: tuple[PrimeNtt, ...] = tuple(
-            make_prime_ntt(n, q) for q in params.modulus_chain)
-        self.chain_u64 = np.array(params.modulus_chain, dtype=U64)
+        self.ntt = make_ntt(n, params.modulus_chain)
+        self.chain_u64 = self.ntt.q_u64[:, 0]
 
         # canonical embedding: slot j sits at the 2N-th root exponent
         # 5^j mod 2N; the conjugate partner at 2N - that exponent
@@ -53,60 +55,44 @@ class CkksContext:
         self.slot_exponents = exps
         self.conj_exponents = 2 * n - exps
 
-        # CRT composition constants per level: coeff = sum r_i * c_i mod Q
-        self.level_modulus: list[int] = []
-        self.crt_consts: list[list[int]] = []
-        for lvl in range(params.level_count):
-            primes = params.modulus_chain[:lvl + 1]
-            big_q = 1
-            for q in primes:
-                big_q *= q
-            consts = []
-            for q in primes:
-                m = big_q // q
-                consts.append(m * pow(m, -1, q))
-            self.level_modulus.append(big_q)
-            self.crt_consts.append(consts)
+        # CRT composition constants per level: coeff = sum r_i * c_i mod Q,
+        # c_i = (Q/q_i) * ((Q/q_i)^-1 mod q_i) as an object column
+        chain = params.modulus_chain
+        self.level_modulus = [math.prod(chain[:lvl + 1])
+                              for lvl in range(params.level_count)]
+        self.crt_consts = [
+            np.array([[big_q // q * pow(big_q // q, -1, q)]
+                      for q in chain[:lvl + 1]], dtype=object)
+            for lvl, big_q in enumerate(self.level_modulus)]
 
         # rescale by the top prime of each level: (q_top)^-1 mod q_i
-        self.rescale_inv: list[np.ndarray] = [np.empty(0, dtype=U64)]
-        self.rescale_inv_sh: list[np.ndarray] = [np.empty(0, dtype=U64)]
-        for lvl in range(1, params.level_count):
-            q_top = params.modulus_chain[lvl]
-            inv = [pow(q_top, -1, q) for q in params.modulus_chain[:lvl]]
-            self.rescale_inv.append(np.array(inv, dtype=U64))
-            self.rescale_inv_sh.append(
-                np.array([shoup(v, q) for v, q in
-                          zip(inv, params.modulus_chain[:lvl])], dtype=U64))
+        self.rescale_inv = [
+            np.array([pow(chain[lvl], -1, q) for q in chain[:lvl]], dtype=U64)
+            for lvl in range(params.level_count)]
+        self.rescale_inv_sh = [shoup_rows(inv, self.chain_u64[:lvl])
+                               for lvl, inv in enumerate(self.rescale_inv)]
 
     # ---- domain moves ----------------------------------------------------
 
     def to_ntt(self, poly: RnsPoly) -> RnsPoly:
         if poly.domain == NTT:
             return poly
-        out = np.empty_like(poly.residues)
-        for i in range(poly.residues.shape[0]):
-            out[i] = ntt_forward(poly.residues[i], self.ntt_tables[i])
-        return RnsPoly(out, NTT)
+        rows = self.ntt.rows(slice(0, poly.residues.shape[0]))
+        return RnsPoly(ntt_forward(poly.residues, rows), NTT)
 
     def to_coeff(self, poly: RnsPoly) -> RnsPoly:
         if poly.domain == COEFF:
             return poly
-        out = np.empty_like(poly.residues)
-        for i in range(poly.residues.shape[0]):
-            out[i] = ntt_inverse(poly.residues[i], self.ntt_tables[i])
-        return RnsPoly(out, COEFF)
+        rows = self.ntt.rows(slice(0, poly.residues.shape[0]))
+        return RnsPoly(ntt_inverse(poly.residues, rows), COEFF)
 
     # ---- arithmetic ------------------------------------------------------
 
-    def _check_pair(self, a: RnsPoly, b: RnsPoly) -> None:
+    def add(self, a: RnsPoly, b: RnsPoly) -> RnsPoly:
         if a.domain != b.domain:
             raise UsageError("polynomial domain mismatch")
         if a.residues.shape != b.residues.shape:
             raise UsageError("polynomial level mismatch")
-
-    def add(self, a: RnsPoly, b: RnsPoly) -> RnsPoly:
-        self._check_pair(a, b)
         q = self.chain_u64[:a.residues.shape[0], None]
         s = a.residues + b.residues
         return RnsPoly(np.where(s >= q, s - q, s), a.domain)
@@ -118,26 +104,25 @@ class CkksContext:
 
     def mul_fixed(self, a: RnsPoly, fixed: np.ndarray,
                   fixed_sh: np.ndarray) -> RnsPoly:
-        """Pointwise product with an operand that carries Shoup words."""
+        """Pointwise product with an operand that carries Shoup words.
+
+        The operand has one row per prime: an (R, N) matrix, or one
+        constant per prime.
+        """
         if a.domain != NTT:
             raise UsageError("pointwise products need the NTT domain")
         rows = a.residues.shape[0]
-        out = np.empty_like(a.residues)
-        for i in range(rows):
-            out[i] = mulmod_shoup(a.residues[i], fixed[i], fixed_sh[i],
-                                  self.chain_u64[i])
+        out = mulmod_shoup(a.residues, fixed.reshape(rows, -1),
+                           fixed_sh.reshape(rows, -1),
+                           self.chain_u64[:rows, None])
         return RnsPoly(out, NTT)
 
     # ---- lifting and sampling --------------------------------------------
 
     def lift_signed(self, values: np.ndarray, level: int) -> RnsPoly:
         """Small signed integer coefficients -> residues mod each prime."""
-        out = np.empty((level + 1, self.params.ring_dim), dtype=U64)
-        v = values.astype(np.int64)
-        for i in range(level + 1):
-            q = self.params.modulus_chain[i]
-            out[i] = np.mod(v, q).astype(U64)
-        return RnsPoly(out, COEFF)
+        q = self.chain_u64[:level + 1, None].astype(np.int64)
+        return RnsPoly(np.mod(values.astype(np.int64), q).astype(U64), COEFF)
 
     def sample_ternary(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(-1, 2, size=self.params.ring_dim, dtype=np.int64)
@@ -158,13 +143,9 @@ class CkksContext:
         """Exact signed integer coefficients via CRT, as an object array."""
         if poly.domain != COEFF:
             raise UsageError("CRT composition needs the coefficient domain")
-        lvl = poly.level
-        big_q = self.level_modulus[lvl]
-        consts = self.crt_consts[lvl]
-        total = np.zeros(self.params.ring_dim, dtype=object)
-        for i in range(lvl + 1):
-            total += poly.residues[i].astype(object) * consts[i]
-        total %= big_q
+        big_q = self.level_modulus[poly.level]
+        terms = poly.residues.astype(object) * self.crt_consts[poly.level]
+        total = terms.sum(axis=0) % big_q
         return np.where(total > big_q // 2, total - big_q, total)
 
 

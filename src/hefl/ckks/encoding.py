@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import EncodingRangeError, UsageError
 from .context import COEFF, CkksContext, RnsPoly
-from .modmath import U64, shoup
+from .modmath import U64, shoup_rows
 
 # Signed coefficients must stay inside int64 for the residue lift.
 _COEFF_WORD_LIMIT = float(2**62)
@@ -99,6 +99,4 @@ def encode_scalar_residues(scalar: float, ctx: CkksContext,
             f"the level-{level} modulus")
     res = np.array([fixed % q for q in ctx.params.modulus_chain[:level + 1]],
                    dtype=U64)
-    sh = np.array([shoup(int(r), q) for r, q in
-                   zip(res, ctx.params.modulus_chain[:level + 1])], dtype=U64)
-    return res, sh, abs(float(fixed))
+    return res, shoup_rows(res, ctx.chain_u64[:level + 1]), abs(float(fixed))

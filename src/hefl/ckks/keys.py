@@ -11,19 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import CkksContext
-from .modmath import U64
+from .modmath import shoup_rows
 
 # stream tags keep the keygen / encryption RNG draws disjoint per seed
 KEYGEN_STREAM = 0x6B6579
 ENCRYPT_STREAM = 0x656E63
-
-
-def shoup_rows(rows: np.ndarray, chain: tuple[int, ...]) -> np.ndarray:
-    """Shoup companion words for a (levels, N) residue matrix."""
-    out = np.empty_like(rows)
-    for i, q in enumerate(chain[:rows.shape[0]]):
-        out[i] = ((rows[i].astype(object) << 64) // q).astype(U64)
-    return out
 
 
 @dataclass
@@ -46,22 +38,22 @@ class PublicKey:
 
 
 def keygen(ctx: CkksContext, seed: int) -> tuple[SecretKey, PublicKey]:
-    params = ctx.params
     rng = np.random.default_rng(np.random.SeedSequence((KEYGEN_STREAM, seed)))
-    top = params.top_level
+    top = ctx.params.top_level
 
     s = ctx.sample_ternary(rng)
     e = ctx.sample_gaussian(rng)
     a = ctx.sample_uniform_ntt(rng, top)
 
+    q = ctx.chain_u64[:, None]
     s_ntt = ctx.to_ntt(ctx.lift_signed(s, top)).residues
-    s_sh = shoup_rows(s_ntt, params.modulus_chain)
+    s_sh = shoup_rows(s_ntt, q)
 
     a_s = ctx.mul_fixed(a, s_ntt, s_sh)
     e_ntt = ctx.to_ntt(ctx.lift_signed(e, top))
     b = ctx.add(ctx.negate(a_s), e_ntt)
 
-    pk = PublicKey(b.residues, shoup_rows(b.residues, params.modulus_chain),
-                   a.residues, shoup_rows(a.residues, params.modulus_chain))
+    pk = PublicKey(b.residues, shoup_rows(b.residues, q),
+                   a.residues, shoup_rows(a.residues, q))
     return SecretKey(s, s_ntt, s_sh), pk
 

@@ -33,6 +33,13 @@ def shoup(w: int, q: int) -> int:
     return (w << 64) // q
 
 
+def shoup_rows(values: np.ndarray, q) -> np.ndarray:
+    """Shoup words of a residue array; q is one prime or broadcasts as a
+    column of row primes (an (R, 1) column for an (R, N) matrix)."""
+    big = values.astype(object) << 64
+    return (big // np.asarray(q).astype(object)).astype(U64)
+
+
 def mulmod_shoup(a: np.ndarray, w, w_sh, q: U64) -> np.ndarray:
     """a * w mod q where w carries its Shoup word.  Requires a, w < q < 2^63.
 

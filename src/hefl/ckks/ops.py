@@ -25,9 +25,9 @@ from .ntt import ntt_inverse
 class Ciphertext:
     """RLWE pair (c0, c1) with scale/level bookkeeping.
 
-    noise_bits tracks log2 of the estimated worst-case noise coefficient
-    and value_bits bounds log2 of the largest slot magnitude; together
-    they feed the headroom diagnostic and the decrypt integrity check.
+    noise_bits tracks log2 of a 6-sigma (not worst-case) estimate of the
+    largest noise coefficient and value_bits bounds log2 of the largest
+    slot magnitude; both feed the headroom and decrypt integrity checks.
     """
 
     c0: RnsPoly
@@ -135,7 +135,7 @@ def rescale(ct: Ciphertext, ctx: CkksContext) -> Ciphertext:
     def drop(comp: RnsPoly) -> RnsPoly:
         # (c - [c]_q_top) * q_top^-1 on the lower primes, with the top
         # residue centred so the division rounds to nearest
-        last = ntt_inverse(comp.residues[lvl], ctx.ntt_tables[lvl])
+        last = ntt_inverse(comp.residues[lvl], ctx.ntt.rows(lvl))
         signed = last.astype(np.int64)
         signed = np.where(last > U64(q_top // 2), signed - q_top, signed)
         corr = ctx.to_ntt(ctx.lift_signed(signed, lvl - 1))

@@ -27,8 +27,8 @@ import numpy as np
 
 from ..errors import ParseError
 from .context import COEFF, NTT, CkksContext, RnsPoly
-from .keys import PublicKey, SecretKey, shoup_rows
-from .modmath import U64
+from .keys import PublicKey, SecretKey
+from .modmath import U64, shoup_rows
 from .ops import Ciphertext
 
 MAGIC = b"HEFL"
@@ -79,18 +79,14 @@ def _unpack(data: bytes, ctx: CkksContext, expected_kind: int,
         raise ParseError(
             f"payload length {len(data)}, expected {expected}",
             offset=min(len(data), expected))
-    polys = []
-    pos = _HEADER.size
-    for _ in range(count):
-        rows = np.frombuffer(data, dtype="<u8", count=(level + 1) * n,
-                             offset=pos).reshape(level + 1, n).astype(U64)
-        for i, row in enumerate(rows):
-            if int(row.max(initial=0)) >= ctx.params.modulus_chain[i]:
-                raise ParseError(f"residue out of range for prime {i}",
-                                 offset=pos)
-        polys.append(rows)
-        pos += (level + 1) * n * 8
-    return (level, scale, noise_bits, value_bits, polys,
+    polys = np.frombuffer(data, dtype="<u8", offset=_HEADER.size).reshape(
+        count, level + 1, n).astype(U64)
+    bad = np.argwhere((polys >= ctx.chain_u64[:level + 1, None]).any(axis=2))
+    if bad.size:
+        p, i = bad[0]
+        raise ParseError(f"residue out of range for prime {i}",
+                         offset=_HEADER.size + int(p) * (level + 1) * n * 8)
+    return (level, scale, noise_bits, value_bits, list(polys),
             _DOMAIN_NAMES[domain_code])
 
 
@@ -121,8 +117,8 @@ def deserialize_public_key(data: bytes, ctx: CkksContext) -> PublicKey:
     if len(polys) != 2 or level != ctx.params.top_level or domain != NTT:
         raise ParseError("malformed public key payload", offset=23)
     b, a = polys
-    chain = ctx.params.modulus_chain
-    return PublicKey(b, shoup_rows(b, chain), a, shoup_rows(a, chain))
+    q = ctx.chain_u64[:, None]
+    return PublicKey(b, shoup_rows(b, q), a, shoup_rows(a, q))
 
 
 def serialize_secret_key(sk: SecretKey, ctx: CkksContext) -> bytes:
@@ -142,5 +138,11 @@ def deserialize_secret_key(data: bytes, ctx: CkksContext) -> SecretKey:
     if not np.isin(ternary, (-1, 0, 1)).all():
         raise ParseError("secret key coefficients are not ternary",
                          offset=_HEADER.size)
-    s_ntt = ctx.to_ntt(RnsPoly(rows, COEFF)).residues
-    return SecretKey(ternary, s_ntt, shoup_rows(s_ntt, ctx.params.modulus_chain))
+    # every row must lift the same ternary secret as row 0
+    coeff = ctx.lift_signed(ternary, level)
+    bad = np.flatnonzero((coeff.residues != rows).any(axis=1))
+    if bad.size:
+        raise ParseError(f"secret key row {bad[0]} disagrees with row 0",
+                         offset=_HEADER.size + int(bad[0]) * rows.shape[1] * 8)
+    s_ntt = ctx.to_ntt(coeff).residues
+    return SecretKey(ternary, s_ntt, shoup_rows(s_ntt, ctx.chain_u64[:, None]))

@@ -34,6 +34,9 @@ _RECORD_COLUMNS = ("round", "encryption_ratio", "mask_count",
                    "train_accuracy", "test_accuracy", "avg_train_loss")
 # per-round columns taken from each record; the ratio comes from the summary
 _RECORD_KEYS = tuple(c for c in _RECORD_COLUMNS if c != "encryption_ratio")
+# summary keys that reports compute with; a missing one is reported later
+_NUMERIC_SUMMARY_KEYS = tuple(k for k in _REQUIRED
+                              if k != "sensitivity_method")
 
 
 def load_run(run_dir: str | Path) -> dict:
@@ -50,12 +53,22 @@ def load_run(run_dir: str | Path) -> dict:
         raise ConfigError(f"{run} holds invalid JSON: {exc}") from None
     if not isinstance(summary, dict):
         raise ConfigError(f"{run / 'summary.json'} is not a JSON object")
+    _check_numbers(summary, _NUMERIC_SUMMARY_KEYS, run / "summary.json")
     for i, rec in enumerate(records, 1):
         if not isinstance(rec, dict) or not rec.keys() >= set(_RECORD_KEYS):
             raise ConfigError(f"{run / 'records.jsonl'} record {i} is not a "
                               f"JSON object with keys {list(_RECORD_KEYS)}")
+        _check_numbers(rec, _RECORD_KEYS,
+                       f"{run / 'records.jsonl'} record {i}")
     summary["records"] = records
     return summary
+
+
+def _check_numbers(obj: dict, keys: tuple[str, ...], where) -> None:
+    """ConfigError unless each of `keys` present in obj holds a number."""
+    for k in (k for k in keys if k in obj):
+        if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
+            raise ConfigError(f"{where}: {k} is {obj[k]!r}, not a number")
 
 
 def normalized_efficiency(values) -> np.ndarray:

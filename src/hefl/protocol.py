@@ -563,6 +563,7 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
     records_path.write_text("".join(line + "\n" for line in kept))
 
     stage_totals = dict.fromkeys(_STAGES, 0.0)
+    record = None
     while state.round_index < cfg.rounds:
         pre_round_flat = state.model.flat.copy()
         record, updates, _, mask = run_round(state)
@@ -579,9 +580,14 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
                 or record.round_index == cfg.rounds):
             save_checkpoint(ckpt_path, state)
 
-    train_acc, train_loss = evaluate(state.model, state.train_all.x,
-                                     state.train_all.y)
-    test_acc, _ = evaluate(state.model, state.test.x, state.test.y)
+    if record is None:  # resumed with no rounds left: nothing evaluated yet
+        train_acc, train_loss = evaluate(state.model, state.train_all.x,
+                                         state.train_all.y)
+        test_acc, _ = evaluate(state.model, state.test.x, state.test.y)
+    else:  # the last round already evaluated the final model
+        train_acc, test_acc, train_loss = (record.train_accuracy,
+                                           record.test_accuracy,
+                                           record.avg_train_loss)
     summary = {
         "encryption_ratio": cfg.encryption_ratio,
         "sensitivity_method": cfg.sensitivity_method,

@@ -2,6 +2,10 @@
 
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +206,22 @@ def test_pgm_writer_golden(tmp_path):
     assert raw == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64])
     with pytest.raises(UsageError):
         write_pgm(p, np.zeros(4))
+
+
+def test_attack_eval_script_uses_protocol_mask(tmp_path):
+    """scripts/attack_eval.py scores the protocol's shared mask: every
+    coordinate visible at r=0, none at r=1."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "curve.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, str(root / "scripts" / "attack_eval.py"),
+                    str(out), "--ratios", "0,1", "--seeds", "1",
+                    "--iterations", "2", "--restarts", "1"],
+                   check=True, env=env, capture_output=True)
+    header, *rows = out.read_text().splitlines()
+    assert header == ("encryption_ratio,seed,visible_count,input_mse,"
+                      "psnr_db,success,label_inferred")
+    cells = [row.split(",") for row in rows]
+    assert [(c[0], c[1], c[2]) for c in cells] == [
+        ("0.000000", "0", "6570"), ("1.000000", "0", "0")]

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import hefl.ckks as ckks
+from hefl.ckks.context import COEFF, NTT, RnsPoly
+from hefl.ckks.modmath import mulmod_shoup, shoup
+from hefl.ckks.ntt import make_prime_ntt, ntt_forward, ntt_inverse
 from hefl.errors import (DecryptionIntegrityError, DepthExhaustedError,
                          UsageError)
 
@@ -173,3 +176,41 @@ def test_key_and_ciphertext_bits_pinned(profile, fixtures, request):
             + ckks.serialize_ciphertext(ct, ctx)
             + ckks.serialize_ciphertext(low, ctx))
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[profile]
+
+
+@pytest.mark.parametrize("profile", ["test-small", "paper-128"])
+def test_matrix_ops_match_per_prime_kernels(profile):
+    """Every row of the context's one-call residue ops equals the
+    one-prime kernel run with that row's own prime and tables."""
+    ctx = ckks.get_context(ckks.get_profile(profile))
+    n, chain = ctx.params.ring_dim, ctx.params.modulus_chain
+    top = ctx.params.top_level
+    rng = np.random.default_rng(6)
+    a = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in chain])
+    b = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in chain])
+    b_sh = np.array([[shoup(int(v), q) for v in row]
+                     for row, q in zip(b, chain)], dtype=np.uint64)
+    signed = rng.integers(-40, 41, n)
+
+    fwd = ctx.to_ntt(RnsPoly(a, COEFF)).residues
+    inv = ctx.to_coeff(RnsPoly(a, NTT)).residues
+    prod = ctx.mul_fixed(RnsPoly(a, NTT), b, b_sh).residues
+    lifted = ctx.lift_signed(signed, top).residues
+    # one constant per prime, as rescale multiplies by q_top^-1
+    scaled = ctx.mul_fixed(RnsPoly(a[:top], NTT), ctx.rescale_inv[top],
+                           ctx.rescale_inv_sh[top]).residues
+    for i, q in enumerate(chain):
+        tab, q64 = make_prime_ntt(n, q), np.uint64(q)
+        assert np.array_equal(fwd[i], ntt_forward(a[i], tab)), i
+        assert np.array_equal(inv[i], ntt_inverse(a[i], tab)), i
+        assert np.array_equal(prod[i], mulmod_shoup(a[i], b[i], b_sh[i],
+                                                    q64)), i
+        assert np.array_equal(lifted[i], np.mod(signed, q)), i
+        if i < top:
+            k = pow(chain[top], -1, q)
+            expect = mulmod_shoup(a[i], np.uint64(k), np.uint64(shoup(k, q)),
+                                  q64)
+            assert np.array_equal(scaled[i], expect), i
+    # rescale's top row runs on the row-`top` slice of the stacked tables
+    assert np.array_equal(ntt_inverse(a[top], ctx.ntt.rows(top)),
+                          ntt_inverse(a[top], make_prime_ntt(n, chain[top])))

@@ -156,3 +156,18 @@ def test_report_missing_run_exits_config(tmp_path, capsys):
         assert code == EXIT_CONFIG and "not a JSON object" in err
         assert err.startswith("hefl report: ") and err.count("\n") == 1
         assert not (tmp_path / "rep").exists()
+    full = ('{"encryption_ratio": 0.1, "sensitivity_method": "magnitude", '
+            '"rounds": 1, "final_train_accuracy": 0.5, '
+            '"final_test_accuracy": 0.5, "final_train_loss": 1.0, '
+            '"total_wall_ms": %s}')
+    record = ('{"round": %s, "mask_count": 3, "train_accuracy": 0.5, '
+              '"test_accuracy": 0.5, "avg_train_loss": 1.0}\n')
+    for summary, records in ((full % '"slow"', record % 1),
+                             (full % 12.5, record % '"one"')):
+        (run_dir / "summary.json").write_text(summary)
+        (run_dir / "records.jsonl").write_text(records)
+        code, _, err = run(capsys, "report", "--runs", str(run_dir),
+                           "--out", str(tmp_path / "rep"))
+        assert code == EXIT_CONFIG and "not a number" in err
+        assert err.startswith("hefl report: ") and err.count("\n") == 1
+        assert not (tmp_path / "rep").exists()

@@ -204,6 +204,25 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert len(resumed) == 4
     assert [strip_timing(x) for x in full] == [strip_timing(x) for x in resumed]
 
+    def untimed(run_dir):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        return {k: v for k, v in summary.items()
+                if k not in ("stage_totals_ms", "total_wall_ms")}
+
+    assert {"final_train_accuracy", "final_test_accuracy",
+            "final_train_loss"} <= untimed(part).keys()
+    assert untimed(part) == untimed(tmp_path / "full")
+    # a resume from the final round's checkpoint runs no round, so its
+    # summary evaluates the restored model itself
+    done = tmp_path / "done"
+    done.mkdir()
+    for name in ("records.jsonl", "checkpoint.bin"):
+        (done / name).write_bytes((tmp_path / "full" / name).read_bytes())
+    run_experiment(cfg, done, resume=True)
+    assert untimed(done) == untimed(tmp_path / "full")
+    assert (done / "records.jsonl").read_text() == \
+        (tmp_path / "full" / "records.jsonl").read_text()
+
 
 def test_resume_guards(tmp_path):
     cfg = tiny_cfg(rounds=2, checkpoint_every=1)

@@ -96,7 +96,15 @@ def test_out_of_range_residue_rejected(ctx_small, sample_ct):
 
 def test_non_ternary_secret_rejected(ctx_small, keys_small):
     sk, _ = keys_small
-    blob = bytearray(ckks.serialize_secret_key(sk, ctx_small))
-    blob[50:58] = (5).to_bytes(8, "little")  # coefficient 5 is not ternary
-    with pytest.raises(ParseError):
-        ckks.deserialize_secret_key(bytes(blob), ctx_small)
+    good = ckks.serialize_secret_key(sk, ctx_small)
+    n, q1 = ctx_small.params.ring_dim, ctx_small.params.modulus_chain[1]
+    row1 = 50 + n * 8
+    shifted = (int.from_bytes(good[row1:row1 + 8], "little") + 12345) % q1
+    # coefficient 5 is not ternary; a shifted row-1 residue (still below
+    # q1) no longer lifts the secret that row 0 holds
+    for pos, word in ((50, 5), (row1, shifted)):
+        blob = bytearray(good)
+        blob[pos:pos + 8] = word.to_bytes(8, "little")
+        with pytest.raises(ParseError) as err:
+            ckks.deserialize_secret_key(bytes(blob), ctx_small)
+        assert err.value.offset == pos
