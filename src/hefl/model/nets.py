@@ -201,64 +201,89 @@ def forward_logits(model: ModelState, x: np.ndarray) -> np.ndarray:
     return _forward(model, np.asarray(x, dtype=np.float64))["logits"]
 
 
-def forward_backward(model: ModelState, x: np.ndarray,
-                     y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch and its flat gradient."""
+def _softmax_terms(model: ModelState, x: np.ndarray, y: np.ndarray,
+                   ) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Forward pass, softmax probabilities and each example's
+    cross-entropy gradient w.r.t. its logits (probs minus one-hot)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[1] != model.arch.input_size:
         raise UsageError(f"expected inputs of shape (B, {model.arch.input_size})")
     if len(x) == 0:
         raise UsageError("empty batch")
-    batch = x.shape[0]
     acts = _forward(model, x)
-    logits = acts["logits"]
-    layout = model.arch.slots
-    _check_finite("out", logits)
-
-    probs = _softmax(logits)
-    picked = probs[np.arange(batch), y]
-    loss_value = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    _check_finite("out", acts["logits"])
+    probs = _softmax(acts["logits"])
     dlogits = probs.copy()
-    dlogits[np.arange(batch), y] -= 1.0
-    dlogits /= batch
+    dlogits[np.arange(len(x)), y] -= 1.0
+    return acts, probs, dlogits
 
-    grad = np.zeros_like(model.flat)
 
-    def put(name: str, value: np.ndarray) -> None:
-        _check_finite(name, value)
-        slot = layout[name]
-        grad[slot.start:slot.end] = value.reshape(-1)
+def _backward(model: ModelState, acts: dict, dlogits: np.ndarray,
+              ) -> list[tuple[LayerSlot, np.ndarray, np.ndarray | None]]:
+    """Per-example error terms of every slab, output layer first.
 
+    A weight slab yields (slot, delta, a): example b's gradient is the
+    outer product of delta[b] and a[b], summed over the conv windows
+    when the terms carry a window axis (B, windows, .).  A bias slab
+    yields (slot, delta, None).  Nothing is contracted over the batch.
+    """
     arch = model.arch
+    layout = arch.slots
     if arch.name == "mlp2":
         h1, h2 = acts["h1"], acts["h2"]
-        w2 = model.view(layout["fc2.weight"])
-        w3 = model.view(layout["out.weight"])
-        put("out.weight", dlogits.T @ h2)
-        put("out.bias", dlogits.sum(axis=0))
-        dh2 = (dlogits @ w3) * h2 * (1.0 - h2)
-        put("fc2.weight", dh2.T @ h1)
-        put("fc2.bias", dh2.sum(axis=0))
-        dh1 = (dh2 @ w2) * h1 * (1.0 - h1)
-        put("fc1.weight", dh1.T @ x)
-        put("fc1.bias", dh1.sum(axis=0))
+        dh2 = (dlogits @ model.view(layout["out.weight"])) * h2 * (1.0 - h2)
+        dh1 = (dh2 @ model.view(layout["fc2.weight"])) * h1 * (1.0 - h1)
+        terms = [("out", dlogits, h2), ("fc2", dh2, h1), ("fc1", dh1, acts["x"])]
     elif arch.name == "conv-s":
         oh, ow, ph, pw = _conv_dims(arch)
-        wo = model.view(layout["out.weight"])
-        put("out.weight", dlogits.T @ acts["feat"])
-        put("out.bias", dlogits.sum(axis=0))
-        dfeat = (dlogits @ wo).reshape(-1, ph, pw, _CONV_CHANNELS)
+        dfeat = (dlogits @ model.view(layout["out.weight"])).reshape(
+            -1, ph, pw, _CONV_CHANNELS)
         dgrid = np.repeat(np.repeat(dfeat, _POOL, axis=1), _POOL, axis=2)
         dgrid /= _POOL * _POOL
         dact = dgrid.reshape(-1, oh * ow, _CONV_CHANNELS)
         dpre = dact * acts["act"] * (1.0 - acts["act"])
-        put("conv.weight",
-            np.einsum("bpc,bpk->ck", dpre, acts["patches"]))
-        put("conv.bias", dpre.sum(axis=(0, 1)))
+        terms = [("out", dlogits, acts["feat"]),
+                 ("conv", dpre, acts["patches"])]
     else:
-        put("out.weight", dlogits.T @ x)
-        put("out.bias", dlogits.sum(axis=0))
+        terms = [("out", dlogits, acts["x"])]
+    out = []
+    for name, delta, a in terms:
+        out.append((layout[f"{name}.weight"], delta, a))
+        out.append((layout[f"{name}.bias"], delta, None))
+    return out
+
+
+def example_terms(model: ModelState, x: np.ndarray, y: np.ndarray,
+                  ) -> list[tuple[LayerSlot, np.ndarray, np.ndarray | None]]:
+    """Each example's own batch-1 gradient, as uncontracted error terms.
+
+    Same terms as `forward_backward` contracts, without its 1/B scale,
+    so row b describes the gradient of example b alone.
+    """
+    acts, _, dlogits = _softmax_terms(model, x, y)
+    return _backward(model, acts, dlogits)
+
+
+def forward_backward(model: ModelState, x: np.ndarray,
+                     y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the batch and its flat gradient."""
+    acts, probs, dlogits = _softmax_terms(model, x, y)
+    batch = len(dlogits)
+    picked = probs[np.arange(batch), y]
+    loss_value = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    dlogits /= batch
+
+    grad = np.zeros_like(model.flat)
+    for slot, delta, a in _backward(model, acts, dlogits):
+        if a is None:
+            value = delta.sum(axis=tuple(range(delta.ndim - 1)))
+        elif delta.ndim == 3:
+            value = np.einsum("bpc,bpk->ck", delta, a)
+        else:
+            value = delta.T @ a
+        _check_finite(slot.name, value)
+        grad[slot.start:slot.end] = value.reshape(-1)
 
     if not math.isfinite(loss_value):
         raise NumericError("non-finite loss value")

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, outputs, end-to-end flow."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from hefl.cli import main
-from hefl.errors import EXIT_CONFIG, EXIT_CRYPTO, EXIT_IO, EXIT_USAGE
+from hefl.errors import (EXIT_CONFIG, EXIT_CRYPTO, EXIT_IO, EXIT_NUMERIC,
+                         EXIT_USAGE)
 
 
 def run(capsys, *argv):
@@ -84,6 +86,27 @@ def test_attack_missing_capture_exits_io(tmp_path, capsys):
     code, _, err = run(capsys, "attack", "--capture",
                        str(tmp_path / "none.json"), "--out", str(tmp_path))
     assert code == EXIT_IO and "cannot read" in err
+
+
+def test_attack_non_finite_model_exits_numeric(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "clients": 1, "rounds": 1, "batch_size": 1, "local_epochs": 1,
+        "train_size": 16, "test_size": 16, "single_step": True,
+        "calibration_batches": 1,
+    }))
+    assert run(capsys, "train", "--config", str(cfg),
+               "--out", str(tmp_path / "run"))[0] == 0
+    path = tmp_path / "run" / "capture_r1_c0.json"
+    cap = json.loads(path.read_text())
+    flat = np.frombuffer(base64.b64decode(cap["model_flat"]), dtype="<f8").copy()
+    flat[0] = np.nan
+    cap["model_flat"] = base64.b64encode(flat.tobytes()).decode()
+    path.write_text(json.dumps(cap))
+    code, _, err = run(capsys, "attack", "--capture", str(path),
+                       "--out", str(tmp_path / "atk"), "--iterations", "2",
+                       "--restarts", "1")
+    assert code == EXIT_NUMERIC and "non-finite values" in err
 
 
 def test_train_bad_config_exits_config(tmp_path, capsys):
