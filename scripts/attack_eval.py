@@ -31,8 +31,8 @@ def main() -> int:
     ap.add_argument("out", help="output CSV path")
     ap.add_argument("--ratios", default="0,0.1,0.25,0.5,0.75,0.9,1.0")
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--iterations", type=int, default=300)
-    ap.add_argument("--restarts", type=int, default=5)
+    ap.add_argument("--iterations", type=int, default=AttackConfig.iterations)
+    ap.add_argument("--restarts", type=int, default=AttackConfig.restarts)
     args = ap.parse_args()
 
     base = json.loads(CAPTURE_CONFIG.read_text())

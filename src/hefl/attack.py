@@ -33,18 +33,25 @@ from .model.nets import Architecture, ModelState, example_terms
 
 ATTACK_STREAM = 0x61746B
 
+# Adam on the pixels, driven by central differences of width FD_STEP
+LR = 0.1
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+FD_STEP = 1e-3
+STOP_OBJECTIVE = 1e-12   # a restart ends once its objective falls below it
+SUCCESS_RATIO = 0.1      # success when MSE < ratio * Var(target)
+
 
 @dataclass(frozen=True)
 class AttackConfig:
     iterations: int = 300
     restarts: int = 5
-    lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    fd_step: float = 1e-3
-    stop_objective: float = 1e-12
-    success_ratio: float = 0.1   # success when MSE < ratio * Var(target)
+
+    def __post_init__(self) -> None:
+        if self.iterations < 1 or self.restarts < 1:
+            raise UsageError("iterations and restarts must be at least 1, "
+                             f"got {self.iterations} and {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -188,20 +195,19 @@ def reconstruct(model: ModelState, visible: VisibleUpdate, label: int,
         m = np.zeros_like(x)
         v = np.zeros_like(x)
         for t in range(1, cfg.iterations + 1):
-            g = _fd_gradient(model, x, label, visible, cfg.fd_step)
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            m_hat = m / (1.0 - cfg.beta1 ** t)
-            v_hat = v / (1.0 - cfg.beta2 ** t)
-            x = x - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            g = _fd_gradient(model, x, label, visible, FD_STEP)
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            x = x - LR * m_hat / (np.sqrt(v_hat) + EPS)
             np.clip(x, 0.0, 1.0, out=x)
-            if gradient_objective(model, x, label, visible) \
-                    < cfg.stop_objective:
+            obj = gradient_objective(model, x, label, visible)
+            if obj < STOP_OBJECTIVE:
                 break
-        obj = gradient_objective(model, x, label, visible)
         if obj < best_obj:
             best_x, best_obj, best_init = x, obj, init
-        if best_obj < cfg.stop_objective:
+        if best_obj < STOP_OBJECTIVE:
             break
     return best_x, best_obj, best_init
 
@@ -217,8 +223,6 @@ def attack_example(model: ModelState, visible: VisibleUpdate,
     the result records which one was used).
     """
     cfg = cfg or AttackConfig()
-    if cfg.restarts < 1:
-        raise UsageError("restarts must be at least 1")
     target_x = np.asarray(target_x, dtype=np.float64).reshape(-1)
     if target_x.size != model.arch.input_size:
         raise UsageError(
@@ -229,7 +233,7 @@ def attack_example(model: ModelState, visible: VisibleUpdate,
     x_hat, objective, init = reconstruct(model, visible, label, cfg, seed)
     mse = float(np.mean((x_hat - target_x) ** 2))
     baseline = float(np.mean((init - target_x) ** 2))
-    threshold = cfg.success_ratio * float(np.var(target_x))
+    threshold = SUCCESS_RATIO * float(np.var(target_x))
     psnr = 10.0 * math.log10(1.0 / mse) if mse > 0 else math.inf
     return AttackResult(x_hat, target_x, mse, baseline, psnr,
                         mse < threshold, int(target_y), inferred, label,

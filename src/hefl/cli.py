@@ -87,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0,
                    help="attack seed (default: %(default)s)")
-    p.add_argument("--iterations", type=int, default=300,
+    p.add_argument("--iterations", type=int, default=AttackConfig.iterations,
                    help="descent steps per restart (default: %(default)s)")
-    p.add_argument("--restarts", type=int, default=5,
+    p.add_argument("--restarts", type=int, default=AttackConfig.restarts,
                    help="random restarts (default: %(default)s)")
     p.set_defaults(func=cmd_attack)
 
@@ -157,20 +157,10 @@ def cmd_attack(args: argparse.Namespace) -> None:
                             capture["x"], capture["y"], cfg, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    body = {
-        "capture": str(args.capture),
-        "encryption_ratio": capture["encryption_ratio"],
-        "visible_count": result.visible_count,
-        "visible_total": result.visible_total,
-        "input_mse": result.input_mse,
-        "baseline_mse": result.baseline_mse,
-        "psnr_db": result.psnr_db,
-        "success": result.success,
-        "label_true": result.label_true,
-        "label_inferred": result.label_inferred,
-        "label_used": result.label_used,
-        "objective": result.objective,
-    }
+    body = {k: v for k, v in vars(result).items()
+            if not isinstance(v, np.ndarray)}
+    body.update(capture=str(args.capture),
+                encryption_ratio=capture["encryption_ratio"])
     (out / "result.json").write_text(
         json.dumps(body, indent=2, sort_keys=True) + "\n")
     shape = capture["model"].arch.input_shape

@@ -130,14 +130,7 @@ def per_round_table(summaries: list[dict]) -> str:
     rows = []
     for s in sorted(summaries, key=lambda s: s["encryption_ratio"]):
         for rec in s.get("records", []):
-            rows.append({
-                "round": rec["round"],
-                "encryption_ratio": s["encryption_ratio"],
-                "mask_count": rec["mask_count"],
-                "train_accuracy": rec["train_accuracy"],
-                "test_accuracy": rec["test_accuracy"],
-                "avg_train_loss": rec["avg_train_loss"],
-            })
+            rows.append({**rec, "encryption_ratio": s["encryption_ratio"]})
     return _csv(rows, _RECORD_COLUMNS)
 
 

@@ -20,12 +20,13 @@ reproduces an uninterrupted one bit for bit.
 from __future__ import annotations
 
 import base64
+import glob
 import hashlib
 import json
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,22 @@ CHECKPOINT_MAGIC = "hefl-checkpoint"
 _CHECKPOINT_KEYS = {"config_digest", "layout", "param_count",
                     "has_prev_update", "round"}
 _STAGES = ("train", "encrypt", "aggregate_he", "aggregate_plain", "decrypt")
+# what a config field must hold, keyed by the type of its default
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number",
+          str: "a string", tuple: "a list of integers"}
+
+
+def _has_kind(value, kind: type) -> bool:
+    """True when value fits a field of that kind: only bool fields take
+    bools, float fields also take ints, tuples hold ints."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_has_kind(v, int)
+                                                for v in value)
+    return isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -79,6 +96,11 @@ class FlConfig:
     calibration_batches: int = 2
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if not _has_kind(value, kind):
+                raise ConfigError(
+                    f"{f.name} must be {_KINDS[kind]}, got {value!r}")
         if self.clients < 1:
             raise ConfigError("need at least one client")
         if self.rounds < 1:
@@ -100,15 +122,21 @@ class FlConfig:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.dataset != "toy" and not self.dataset.startswith("cifar10:"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
+        if self.dataset == "toy" and (len(self.input_shape) != 2
+                                      or min(self.input_shape) < 1):
+            raise ConfigError("the toy input_shape needs two positive "
+                              f"dimensions, got {list(self.input_shape)}")
+        if self.calibration_batches < 1:
+            raise ConfigError("calibration_batches must be positive")
+        if not 0 <= self.seed < 2 ** 63:
+            raise ConfigError(f"seed {self.seed} outside [0, 2**63)")
         try:
             ckks.get_profile(self.ckks_profile)
         except UsageError as exc:
             raise ConfigError(str(exc)) from None
 
     def digest(self) -> str:
-        payload = {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in asdict(self).items()}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -122,7 +150,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> FlConfig:
     unknown = set(merged) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "input_shape" in merged:
+    if isinstance(merged.get("input_shape"), list):
         merged["input_shape"] = tuple(merged["input_shape"])
     try:
         cfg = FlConfig(**merged)
@@ -197,20 +225,21 @@ class ExperimentState:
 
 
 def _load_dataset(cfg: FlConfig) -> tuple[Dataset, Dataset, Dataset]:
+    n_calib = cfg.calibration_batches * cfg.batch_size
     if cfg.dataset == "toy":
-        shape = tuple(cfg.input_shape)
         train = make_toy_dataset(cfg.train_size, cfg.seed, cfg.n_classes,
-                                 shape, split=0)
+                                 cfg.input_shape, split=0)
         test = make_toy_dataset(cfg.test_size, cfg.seed, cfg.n_classes,
-                                shape, split=1)
-        calib = make_toy_dataset(
-            max(cfg.calibration_batches * cfg.batch_size, 1), cfg.seed,
-            cfg.n_classes, shape, split=2)
+                                cfg.input_shape, split=1)
+        calib = make_toy_dataset(n_calib, cfg.seed, cfg.n_classes,
+                                 cfg.input_shape, split=2)
         return train, test, calib
-    paths = sorted(Path().glob(cfg.dataset.split(":", 1)[1]))
-    full = load_cifar10_batches(list(paths))
+    pattern = cfg.dataset.split(":", 1)[1]
+    paths = sorted(glob.glob(pattern, recursive=True))
+    if not paths:
+        raise ConfigError(f"dataset pattern {pattern!r} matches no files")
+    full = load_cifar10_batches(paths)
     n_test = max(1, len(full) // 6)
-    n_calib = max(1, cfg.calibration_batches * cfg.batch_size)
     test = Dataset(full.x[:n_test], full.y[:n_test], full.n_classes,
                    full.input_shape)
     calib = Dataset(full.x[n_test:n_test + n_calib],
@@ -224,19 +253,19 @@ def _load_dataset(cfg: FlConfig) -> tuple[Dataset, Dataset, Dataset]:
 
 def init_experiment(cfg: FlConfig) -> ExperimentState:
     cfg.validate()
-    train, test, calib = _load_dataset(cfg)
-    if cfg.dataset == "toy":
-        arch = make_architecture(cfg.arch, tuple(cfg.input_shape),
-                                 cfg.n_classes)
-    else:
-        shape = train.input_shape if cfg.arch == "conv-s" else \
-            (int(np.prod(train.input_shape)),)
+    try:
+        train, test, calib = _load_dataset(cfg)
+        shape = train.input_shape
+        if cfg.dataset != "toy" and cfg.arch != "conv-s":
+            shape = (math.prod(shape),)
         arch = make_architecture(cfg.arch, shape, train.n_classes)
-    model = build_model(arch, cfg.seed)
+        model = build_model(arch, cfg.seed)
+        shards = partition_iid(train, cfg.clients, cfg.seed)
+    except UsageError as exc:
+        raise ConfigError(str(exc)) from None
     params = ckks.get_profile(cfg.ckks_profile)
     ctx = ckks.get_context(params)
     sk, pk = ckks.keygen(ctx, _mix(KEY_SEED_STREAM, cfg.seed))
-    shards = partition_iid(train, cfg.clients, cfg.seed)
     bs = cfg.batch_size
     batches = [(calib.x[i:i + bs], calib.y[i:i + bs])
                for i in range(0, len(calib), bs)]
@@ -261,6 +290,13 @@ def round_mask(state: ExperimentState) -> SelectionMask:
     return select_top_r(scores, cfg.encryption_ratio)
 
 
+def _client_rng(state: ExperimentState, client_id: int,
+                round_index: int) -> np.random.Generator:
+    """The (seed, round, client) stream a client draws its batches from."""
+    return np.random.default_rng(np.random.SeedSequence(
+        (CLIENT_STREAM, state.config.seed, round_index, client_id)))
+
+
 def local_update_vector(state: ExperimentState,
                         client_id: int) -> tuple[np.ndarray, float]:
     """One client's clipped update for the upcoming round.
@@ -279,8 +315,7 @@ def local_update_vector(state: ExperimentState,
         x, y = single_step_batch(state, client_id, rnd)
         local_loss, update = forward_backward(state.model, x, y)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            (CLIENT_STREAM, cfg.seed, rnd, client_id)))
+        rng = _client_rng(state, client_id, rnd)
         local = ModelState(state.arch, state.model.flat.copy())
         opt = SgdState(base_lr=cfg.lr, momentum=cfg.momentum,
                        weight_decay=cfg.weight_decay,
@@ -300,6 +335,17 @@ def local_update_vector(state: ExperimentState,
         local_loss /= max(steps, 1)
         update = (state.model.flat - local.flat) / GLOBAL_ETA
     return np.clip(update, -cfg.clip, cfg.clip), float(local_loss)
+
+
+def single_step_batch(state: ExperimentState,
+                      client_id: int, round_index: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Replay the batch a single-step client drew for a given round."""
+    shard = state.shards[client_id]
+    take = min(state.config.batch_size, len(shard))
+    pick = _client_rng(state, client_id, round_index).permutation(
+        len(shard))[:take]
+    return shard.x[pick], shard.y[pick]
 
 
 def client_update(state: ExperimentState, client_id: int,
@@ -333,10 +379,12 @@ def aggregate(state: ExperimentState, updates: list[ClientUpdate],
     """Mean update across clients: homomorphic on the mask, plain elsewhere."""
     if not updates:
         raise ProtocolError("no client updates to aggregate")
-    ids = sorted(u.client_id for u in updates)
-    if len(set(ids)) != len(ids):
+    updates = sorted(updates, key=lambda u: u.client_id)
+    if len({u.client_id for u in updates}) != len(updates):
         raise ProtocolError("duplicate client ids in aggregation")
     fp = mask.fingerprint()
+    n_chunks = math.ceil(mask.count / state.ctx.params.slot_count)
+    plain_idx = mask.complement()
     for u in updates:
         if u.mask_fingerprint != fp:
             raise ProtocolError(
@@ -344,15 +392,15 @@ def aggregate(state: ExperimentState, updates: list[ClientUpdate],
         if u.round_index != state.round_index + 1:
             raise ProtocolError(
                 f"client {u.client_id} update targets round {u.round_index}")
-    updates = sorted(updates, key=lambda u: u.client_id)
-    k = len(updates)
-    n_chunks = math.ceil(mask.count / state.ctx.params.slot_count)
-    for u in updates:
         if len(u.encrypted_chunks) != n_chunks:
             raise ProtocolError(
                 f"client {u.client_id} sent {len(u.encrypted_chunks)} chunks, "
                 f"expected {n_chunks}")
-
+        if u.plaintext_sparse.shape != plain_idx.shape:
+            raise ProtocolError(
+                f"client {u.client_id} sent {len(u.plaintext_sparse)} "
+                f"plaintext entries, expected {plain_idx.size}")
+    k = len(updates)
     agg = np.zeros(mask.total, dtype=np.float64)
 
     t0 = time.perf_counter()
@@ -380,16 +428,8 @@ def aggregate(state: ExperimentState, updates: list[ClientUpdate],
     decrypt_s = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    plain_idx = mask.complement()
     if plain_idx.size:
-        total = np.zeros(plain_idx.size, dtype=np.float64)
-        for u in updates:
-            if u.plaintext_sparse.shape != plain_idx.shape:
-                raise ProtocolError(
-                    f"client {u.client_id} sent {len(u.plaintext_sparse)} "
-                    f"plaintext entries, expected {plain_idx.size}")
-            total += u.plaintext_sparse
-        agg[plain_idx] = total / k
+        agg[plain_idx] = sum(u.plaintext_sparse for u in updates) / k
     plain_s = time.perf_counter() - t2
 
     return agg, {"aggregate_he": he_s, "aggregate_plain": plain_s,
@@ -400,9 +440,18 @@ def apply_global_update(model: ModelState, agg: np.ndarray) -> ModelState:
     return ModelState(model.arch, model.flat - GLOBAL_ETA * agg)
 
 
+def _evaluate(state: ExperimentState) -> tuple[float, float, float]:
+    """(train accuracy, test accuracy, train loss) of the global model."""
+    train_acc, train_loss = evaluate(state.model, state.train_all.x,
+                                     state.train_all.y)
+    test_acc, _ = evaluate(state.model, state.test.x, state.test.y)
+    return train_acc, test_acc, train_loss
+
+
 def run_round(state: ExperimentState
-              ) -> tuple[RoundRecord, list[ClientUpdate], np.ndarray,
-                         SelectionMask]:
+              ) -> tuple[RoundRecord, list[ClientUpdate], SelectionMask]:
+    """One federated round.  It replaces state.model (never mutates it)
+    and leaves the aggregated update in state.prev_update."""
     cfg = state.config
     mask = round_mask(state)
     results = [client_update(state, c, mask) for c in range(cfg.clients)]
@@ -417,14 +466,11 @@ def run_round(state: ExperimentState
     state.prev_update = agg
     state.round_index += 1
 
-    train_acc, train_loss = evaluate(state.model, state.train_all.x,
-                                     state.train_all.y)
-    test_acc, _ = evaluate(state.model, state.test.x, state.test.y)
     record = RoundRecord(state.round_index, cfg.encryption_ratio,
                          cfg.sensitivity_method, mask.count,
-                         mask.fingerprint(), train_acc, test_acc, train_loss,
+                         mask.fingerprint(), *_evaluate(state),
                          {k: stage[k] * 1000.0 for k in _STAGES})
-    return record, updates, agg, mask
+    return record, updates, mask
 
 
 # ---- persistence -----------------------------------------------------------
@@ -457,8 +503,8 @@ def save_checkpoint(path: str | Path, state: ExperimentState) -> None:
     Path(path).write_bytes(struct.pack("<I", len(head)) + head + blob)
 
 
-def load_checkpoint(path: str | Path, cfg: FlConfig,
-                    state: ExperimentState) -> None:
+def load_checkpoint(path: str | Path, state: ExperimentState) -> None:
+    """Restore a checkpoint written under state.config into state."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -477,7 +523,7 @@ def load_checkpoint(path: str | Path, cfg: FlConfig,
     missing = _CHECKPOINT_KEYS - header.keys()
     if missing:
         raise ConfigError(f"checkpoint header lacks {sorted(missing)}")
-    if header["config_digest"] != cfg.digest():
+    if header["config_digest"] != state.config.digest():
         raise ConfigError(
             "checkpoint was produced by a different configuration")
     if header["layout"] != _layout_header(state.arch):
@@ -498,28 +544,17 @@ def load_checkpoint(path: str | Path, cfg: FlConfig,
     state.round_index = header["round"]
 
 
-def single_step_batch(state: ExperimentState,
-                      client_id: int, round_index: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Replay the batch a single-step client drew for a given round."""
-    cfg = state.config
-    shard = state.shards[client_id]
-    rng = np.random.default_rng(np.random.SeedSequence(
-        (CLIENT_STREAM, cfg.seed, round_index, client_id)))
-    take = min(cfg.batch_size, len(shard))
-    pick = rng.permutation(len(shard))[:take]
-    return shard.x[pick], shard.y[pick]
-
-
 def write_capture(path: str | Path, state: ExperimentState,
                   update: ClientUpdate, mask: SelectionMask,
-                  model_flat: np.ndarray, example_x: np.ndarray,
-                  example_y: np.ndarray) -> None:
+                  model_flat: np.ndarray) -> None:
     """Attack handoff: one client's visible update plus scoring truth.
 
     `model_flat` must be the weights the update was computed against,
-    not the post-round state.
+    not the post-round state; the example is the client's replayed
+    single-step batch.
     """
+    example_x, example_y = single_step_batch(state, update.client_id,
+                                             update.round_index)
     payload = {
         "round": update.round_index,
         "client_id": update.client_id,
@@ -554,7 +589,7 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
     if resume:
         if not ckpt_path.exists():
             raise ConfigError(f"cannot resume: {ckpt_path} does not exist")
-        load_checkpoint(ckpt_path, cfg, state)
+        load_checkpoint(ckpt_path, state)
         if records_path.exists():
             kept = records_path.read_text().splitlines()[:state.round_index]
         if len(kept) < state.round_index:
@@ -565,25 +600,22 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
     stage_totals = dict.fromkeys(_STAGES, 0.0)
     record = None
     while state.round_index < cfg.rounds:
-        pre_round_flat = state.model.flat.copy()
-        record, updates, _, mask = run_round(state)
+        pre_round = state.model
+        record, updates, mask = run_round(state)
         with records_path.open("a") as fh:
             fh.write(record.to_json() + "\n")
         for name in _STAGES:
             stage_totals[name] += record.wall_ms[name]
         if cfg.single_step and record.round_index == 1:
             for u in updates:
-                x, y = single_step_batch(state, u.client_id, u.round_index)
                 write_capture(out / f"capture_r1_c{u.client_id}.json",
-                              state, u, mask, pre_round_flat, x, y)
+                              state, u, mask, pre_round.flat)
         if (record.round_index % cfg.checkpoint_every == 0
                 or record.round_index == cfg.rounds):
             save_checkpoint(ckpt_path, state)
 
     if record is None:  # resumed with no rounds left: nothing evaluated yet
-        train_acc, train_loss = evaluate(state.model, state.train_all.x,
-                                         state.train_all.y)
-        test_acc, _ = evaluate(state.model, state.test.x, state.test.y)
+        train_acc, test_acc, train_loss = _evaluate(state)
     else:  # the last round already evaluated the final model
         train_acc, test_acc, train_loss = (record.train_accuracy,
                                            record.test_accuracy,

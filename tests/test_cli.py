@@ -80,6 +80,11 @@ def test_attack_rejects_zero_restarts(tmp_path, capsys):
                        str(tmp_path / "run" / "capture_r1_c0.json"),
                        "--out", str(tmp_path / "atk"), "--restarts", "0")
     assert code == EXIT_USAGE and "restarts" in err
+    code, _, err = run(capsys, "attack", "--capture",
+                       str(tmp_path / "run" / "capture_r1_c0.json"),
+                       "--out", str(tmp_path / "atk"), "--iterations", "0")
+    assert code == EXIT_USAGE and "iterations" in err
+    assert not (tmp_path / "atk").exists()
 
 
 def test_attack_missing_capture_exits_io(tmp_path, capsys):
@@ -115,6 +120,14 @@ def test_train_bad_config_exits_config(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--config", str(cfg),
                        "--out", str(tmp_path / "run"))
     assert code == EXIT_CONFIG and "encryption_ratio" in err
+    # malformed values that used to exit 2 from deep inside set-up, or 1
+    # with a traceback, are configuration errors with a one-line message
+    for bad in ({"clients": 2000}, {"batch_size": 1.5}):
+        cfg.write_text(json.dumps(dict(bad, rounds=1)))
+        code, _, err = run(capsys, "train", "--config", str(cfg),
+                           "--out", str(tmp_path / "run"))
+        assert code == EXIT_CONFIG, err
+        assert err.startswith("hefl train: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore:all runs tie")

@@ -54,10 +54,38 @@ def test_config_precedence_and_unknown_keys():
     {"lr": 0.0},
     {"checkpoint_every": 0},
     {"lr_step_rounds": 0},
+    # caught while building the experiment, not by validate alone
+    {"train_size": 0},
+    {"test_size": 0},
+    {"n_classes": 1},
+    {"arch": "conv-s", "input_shape": [3, 3]},
+    {"arch": "conv-s", "input_shape": [9, 9]},
+    {"clients": 2000},
+    {"dataset": "cifar10:/nonexistent-hefl-data/*.bin"},
+    # wrong shape or type
+    {"input_shape": [4, 4, 4]},
+    {"input_shape": [0, 8]},
+    {"input_shape": 8},
+    {"input_shape": [8, "8"]},
+    {"batch_size": 1.5},
+    {"clients": "3"},
+    {"rounds": 1.5},
+    {"rounds": True},
+    {"encryption_ratio": True},
+    {"single_step": 1},
+    {"lr": float("nan")},
+    {"calibration_batches": 0},
+    {"seed": -1},
+    {"seed": 2 ** 63},
 ])
 def test_config_validation_rejects(patch):
     with pytest.raises(ConfigError):
-        config_from_dict(patch)
+        init_experiment(config_from_dict(patch))
+
+
+def test_config_types_accept_ints_for_floats():
+    cfg = config_from_dict({"lr": 1, "encryption_ratio": 0})
+    assert cfg.lr == 1 and cfg.encryption_ratio == 0
 
 
 def test_config_digest_tracks_content(tmp_path):
@@ -86,7 +114,8 @@ def test_zero_ratio_aggregation_is_bit_exact():
     expected /= cfg.clients
 
     state = init_experiment(cfg)
-    record, updates, agg, mask = run_round(state)
+    record, updates, mask = run_round(state)
+    agg = state.prev_update
     assert mask.count == 0
     assert all(not u.encrypted_chunks for u in updates)
     assert np.array_equal(agg, expected)          # no HE path, exact mean
@@ -102,7 +131,8 @@ def test_encrypted_aggregation_tracks_plaintext_mean():
     expected /= cfg.clients
 
     state = init_experiment(cfg)
-    _, _, agg, mask = run_round(state)
+    _, _, mask = run_round(state)
+    agg = state.prev_update
     assert mask.count == round(0.5 * shadow.model.size)
     err = np.max(np.abs(agg - expected))
     assert err < 1e-4
@@ -224,18 +254,33 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (tmp_path / "full" / "records.jsonl").read_text()
 
 
+def test_run_experiment_calls_round_and_client_by_name(tmp_path, monkeypatch):
+    # the benchmark times rounds and client uploads by patching these two
+    # module attributes, so run_experiment must look them up per call
+    calls = {"run_round": 0, "client_update": 0}
+    for name in calls:
+        original = getattr(protocol, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(protocol, name, counted)
+    run_experiment(tiny_cfg(rounds=2, clients=3), tmp_path)
+    assert calls == {"run_round": 2, "client_update": 6}
+
+
 def test_resume_guards(tmp_path):
     cfg = tiny_cfg(rounds=2, checkpoint_every=1)
     run_experiment(cfg, tmp_path)
     with pytest.raises(ConfigError, match="different configuration"):
         state = init_experiment(tiny_cfg(rounds=2, checkpoint_every=1, seed=6))
-        load_checkpoint(tmp_path / "checkpoint.bin",
-                        tiny_cfg(rounds=2, checkpoint_every=1, seed=6), state)
+        load_checkpoint(tmp_path / "checkpoint.bin", state)
     raw = (tmp_path / "checkpoint.bin").read_bytes()
     (tmp_path / "checkpoint.bin").write_bytes(raw[:-8])
     state = init_experiment(cfg)
     with pytest.raises(ConfigError, match="bytes"):
-        load_checkpoint(tmp_path / "checkpoint.bin", cfg, state)
+        load_checkpoint(tmp_path / "checkpoint.bin", state)
     with pytest.raises(ConfigError, match="does not exist"):
         run_experiment(cfg, tmp_path / "fresh", resume=True)
     for header, match in ((b"[]", "not a JSON object"),
