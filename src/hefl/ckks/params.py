@@ -23,7 +23,6 @@ class CkksParams:
     ring_dim: int
     modulus_chain: tuple[int, ...]
     log2_scale: int
-    security_profile: str
 
     @property
     def level_count(self) -> int:
@@ -71,7 +70,7 @@ class CkksParams:
                     f"({q.bit_length()} bits)")
 
 
-def _build_profile(name: str, ring_dim: int, chain_bits: tuple[int, ...],
+def _build_profile(ring_dim: int, chain_bits: tuple[int, ...],
                    log2_scale: int) -> CkksParams:
     chain: list[int] = []
     used: set[int] = set()
@@ -79,7 +78,7 @@ def _build_profile(name: str, ring_dim: int, chain_bits: tuple[int, ...],
         p = largest_ntt_primes(bits, ring_dim, 1, exclude=used)[0]
         chain.append(p)
         used.add(p)
-    params = CkksParams(ring_dim, tuple(chain), log2_scale, name)
+    params = CkksParams(ring_dim, tuple(chain), log2_scale)
     params.validate()
     assert sum(q.bit_length() for q in chain) == sum(chain_bits)
     return params
@@ -100,4 +99,4 @@ def get_profile(name: str) -> CkksParams:
         raise UsageError(
             f"unknown ckks profile {name!r}; choose from {sorted(_PROFILE_SHAPES)}"
         ) from None
-    return _build_profile(name, ring_dim, chain_bits, log2_scale)
+    return _build_profile(ring_dim, chain_bits, log2_scale)

@@ -15,6 +15,7 @@ TOY_STREAM = 0x746F79
 
 _CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixels
 _TEMPLATE_COARSE = 4
+_TOY_NOISE = 0.12  # pixelwise Gaussian std added to the class templates
 
 
 @dataclass
@@ -59,7 +60,7 @@ def class_templates(seed: int, n_classes: int = 10,
 
 
 def make_toy_dataset(n: int, seed: int, n_classes: int = 10,
-                     shape: tuple[int, int] = (8, 8), noise: float = 0.12,
+                     shape: tuple[int, int] = (8, 8),
                      split: int = 0) -> Dataset:
     """Templates plus pixelwise Gaussian noise, clipped back to [0, 1].
 
@@ -72,7 +73,7 @@ def make_toy_dataset(n: int, seed: int, n_classes: int = 10,
     rng = np.random.default_rng(
         np.random.SeedSequence((TOY_STREAM, seed, 1, split)))
     y = rng.integers(0, n_classes, size=n)
-    x = templates[y] + rng.normal(0.0, noise, size=(n, *shape))
+    x = templates[y] + rng.normal(0.0, _TOY_NOISE, size=(n, *shape))
     np.clip(x, 0.0, 1.0, out=x)
     return Dataset(x.reshape(n, -1), y.astype(np.int64), n_classes, shape)
 

@@ -1,10 +1,12 @@
 """Small reference networks with hand-written forward/backward passes.
 
-Three architectures are registered:
+Every architecture is an optional conv front end followed by one dense
+stack: sigmoid hidden layers `fc1..fck`, then a linear head `out`.
 
-    mlp2    two sigmoid hidden layers (64, 32) and a linear head
-    conv-s  one 5x5 valid conv (4 channels), 2x2 average pool, linear head
-    linear  a single linear layer (used by closed-form gradient oracles)
+    mlp2    hidden widths (64, 32), no front end
+    conv-s  one 5x5 valid conv (4 channels), sigmoid, 2x2 average pool,
+            then the head alone
+    linear  the head alone (used by closed-form gradient oracles)
 
 Parameters live in one flat float64 vector; `Architecture.layout` maps layer
 names to slices so gradients, checkpoints and selection masks all share
@@ -23,7 +25,9 @@ from ..errors import NumericError, UsageError
 
 INIT_STREAM = 0x696E6974
 
-_MLP_HIDDEN = (64, 32)
+# each architecture's hidden widths; the keys are the registered names
+HIDDEN_WIDTHS = {"mlp2": (64, 32), "conv-s": (), "linear": ()}
+_EVAL_BATCH = 256
 _CONV_CHANNELS = 4
 _CONV_KERNEL = 5
 _POOL = 2
@@ -48,29 +52,28 @@ class Architecture:
         return int(math.prod(self.input_shape))
 
     @cached_property
+    def dense(self) -> tuple[str, ...]:
+        """Dense layer names, input side first: fc1..fck, then out."""
+        hidden = len(HIDDEN_WIDTHS[self.name])
+        return (*(f"fc{i}" for i in range(1, hidden + 1)), "out")
+
+    @cached_property
     def layout(self) -> tuple[LayerSlot, ...]:
         """Parameter slots in flat-vector order, weight before bias."""
-        if self.name == "mlp2":
-            dims = [self.input_size, *_MLP_HIDDEN, self.n_classes]
-            names = ["fc1", "fc2", "out"]
-            shapes = []
-            for i, nm in enumerate(names):
-                shapes.append((f"{nm}.weight", (dims[i + 1], dims[i])))
-                shapes.append((f"{nm}.bias", (dims[i + 1],)))
-        elif self.name == "conv-s":
+        shapes = []
+        width = self.input_size
+        if self.name == "conv-s":
             _, _, ph, pw = _conv_dims(self)
-            feat = _CONV_CHANNELS * ph * pw
-            shapes = [
+            shapes += [
                 ("conv.weight", (_CONV_CHANNELS, _CONV_KERNEL, _CONV_KERNEL)),
                 ("conv.bias", (_CONV_CHANNELS,)),
-                ("out.weight", (self.n_classes, feat)),
-                ("out.bias", (self.n_classes,)),
             ]
-        else:
-            shapes = [
-                ("out.weight", (self.n_classes, self.input_size)),
-                ("out.bias", (self.n_classes,)),
-            ]
+            width = _CONV_CHANNELS * ph * pw
+        widths = (*HIDDEN_WIDTHS[self.name], self.n_classes)
+        for name, fan_out in zip(self.dense, widths):
+            shapes += [(f"{name}.weight", (fan_out, width)),
+                       (f"{name}.bias", (fan_out,))]
+            width = fan_out
         slots = []
         pos = 0
         for name, shape in shapes:
@@ -86,7 +89,7 @@ class Architecture:
 
 def make_architecture(name: str, input_shape: tuple[int, ...],
                       n_classes: int) -> Architecture:
-    if name not in ("mlp2", "conv-s", "linear"):
+    if name not in HIDDEN_WIDTHS:
         raise UsageError(f"unknown architecture {name!r}")
     if name == "conv-s":
         if len(input_shape) != 2:
@@ -136,12 +139,9 @@ def build_model(arch: Architecture, seed: int) -> ModelState:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument cannot overflow on either side
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -150,10 +150,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_finite(name: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NumericError(f"non-finite values in layer {name!r}")
+def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each example's cross-entropy, from its softmax probabilities."""
+    return -np.log(np.maximum(probs[np.arange(len(probs)), y], 1e-300))
+
+
+def _check_finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise NumericError(f"non-finite values in layer {name!r}")
 
 
 def _patch_indices(arch: Architecture) -> np.ndarray:
@@ -166,34 +170,31 @@ def _patch_indices(arch: Architecture) -> np.ndarray:
 
 
 def _forward(model: ModelState, x: np.ndarray) -> dict:
+    """Logits plus what the backward pass reads: each dense layer's input
+    and, for conv-s, the conv windows and their sigmoid outputs."""
     arch = model.arch
     layout = arch.slots
-    acts: dict = {"x": x}
-    if arch.name == "mlp2":
-        w1, b1 = model.view(layout["fc1.weight"]), model.view(layout["fc1.bias"])
-        w2, b2 = model.view(layout["fc2.weight"]), model.view(layout["fc2.bias"])
-        w3, b3 = model.view(layout["out.weight"]), model.view(layout["out.bias"])
-        acts["h1"] = _sigmoid(x @ w1.T + b1)
-        acts["h2"] = _sigmoid(acts["h1"] @ w2.T + b2)
-        acts["logits"] = acts["h2"] @ w3.T + b3
-    elif arch.name == "conv-s":
+    acts: dict = {}
+    a = x
+    if arch.name == "conv-s":
         oh, ow, ph, pw = _conv_dims(arch)
         wc = model.view(layout["conv.weight"]).reshape(_CONV_CHANNELS, -1)
         bc = model.view(layout["conv.bias"])
-        wo, bo = model.view(layout["out.weight"]), model.view(layout["out.bias"])
-        idx = _patch_indices(arch)
-        patches = x[:, idx]                       # (B, oh*ow, k*k)
-        pre = patches @ wc.T + bc                 # (B, oh*ow, C)
-        act = _sigmoid(pre)
+        patches = x[:, _patch_indices(arch)]      # (B, oh*ow, k*k)
+        act = _sigmoid(patches @ wc.T + bc)       # (B, oh*ow, C)
         grid = act.reshape(-1, oh, ow, _CONV_CHANNELS)
         pooled = grid.reshape(-1, ph, _POOL, pw, _POOL,
                               _CONV_CHANNELS).mean(axis=(2, 4))
-        feat = pooled.reshape(x.shape[0], -1)
-        acts.update(patches=patches, act=act, feat=feat)
-        acts["logits"] = feat @ wo.T + bo
-    else:
-        wo, bo = model.view(layout["out.weight"]), model.view(layout["out.bias"])
-        acts["logits"] = x @ wo.T + bo
+        acts.update(patches=patches, act=act)
+        a = pooled.reshape(x.shape[0], -1)
+    acts["inputs"] = []
+    for name in arch.dense:
+        acts["inputs"].append(a)
+        a = (a @ model.view(layout[f"{name}.weight"]).T
+             + model.view(layout[f"{name}.bias"]))
+        if name != "out":
+            a = _sigmoid(a)
+    acts["logits"] = a
     return acts
 
 
@@ -230,27 +231,25 @@ def _backward(model: ModelState, acts: dict, dlogits: np.ndarray,
     """
     arch = model.arch
     layout = arch.slots
-    if arch.name == "mlp2":
-        h1, h2 = acts["h1"], acts["h2"]
-        dh2 = (dlogits @ model.view(layout["out.weight"])) * h2 * (1.0 - h2)
-        dh1 = (dh2 @ model.view(layout["fc2.weight"])) * h1 * (1.0 - h1)
-        terms = [("out", dlogits, h2), ("fc2", dh2, h1), ("fc1", dh1, acts["x"])]
-    elif arch.name == "conv-s":
+    out = []
+    delta = dlogits
+    for i in reversed(range(len(arch.dense))):
+        name, a = arch.dense[i], acts["inputs"][i]
+        weight = layout[f"{name}.weight"]
+        out.append((weight, delta, a))
+        out.append((layout[f"{name}.bias"], delta, None))
+        if i:  # the layer below is a sigmoid hidden layer
+            delta = (delta @ model.view(weight)) * a * (1.0 - a)
+    if arch.name == "conv-s":  # weight is now the first dense layer's
         oh, ow, ph, pw = _conv_dims(arch)
-        dfeat = (dlogits @ model.view(layout["out.weight"])).reshape(
-            -1, ph, pw, _CONV_CHANNELS)
+        dfeat = (delta @ model.view(weight)).reshape(-1, ph, pw,
+                                                     _CONV_CHANNELS)
         dgrid = np.repeat(np.repeat(dfeat, _POOL, axis=1), _POOL, axis=2)
         dgrid /= _POOL * _POOL
         dact = dgrid.reshape(-1, oh * ow, _CONV_CHANNELS)
         dpre = dact * acts["act"] * (1.0 - acts["act"])
-        terms = [("out", dlogits, acts["feat"]),
-                 ("conv", dpre, acts["patches"])]
-    else:
-        terms = [("out", dlogits, acts["x"])]
-    out = []
-    for name, delta, a in terms:
-        out.append((layout[f"{name}.weight"], delta, a))
-        out.append((layout[f"{name}.bias"], delta, None))
+        out.append((layout["conv.weight"], dpre, acts["patches"]))
+        out.append((layout["conv.bias"], dpre, None))
     return out
 
 
@@ -269,29 +268,28 @@ def forward_backward(model: ModelState, x: np.ndarray,
                      y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch and its flat gradient."""
     acts, probs, dlogits = _softmax_terms(model, x, y)
-    batch = len(dlogits)
-    picked = probs[np.arange(batch), y]
-    loss_value = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    dlogits /= batch
+    loss_value = float(np.mean(_cross_entropy(probs, y)))
+    dlogits /= len(dlogits)
 
+    terms = _backward(model, acts, dlogits)
     grad = np.zeros_like(model.flat)
-    for slot, delta, a in _backward(model, acts, dlogits):
+    for slot, delta, a in terms:
         if a is None:
             value = delta.sum(axis=tuple(range(delta.ndim - 1)))
         elif delta.ndim == 3:
             value = np.einsum("bpc,bpk->ck", delta, a)
         else:
             value = delta.T @ a
-        _check_finite(slot.name, value)
         grad[slot.start:slot.end] = value.reshape(-1)
-
-    if not math.isfinite(loss_value):
-        raise NumericError("non-finite loss value")
+    if not np.isfinite(grad).all():
+        # name the first bad slab in backward order
+        for slot, _, _ in terms:
+            _check_finite(slot.name, grad[slot.start:slot.end])
     return loss_value, grad
 
 
-def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 256) -> tuple[float, float]:
+def evaluate(model: ModelState, x: np.ndarray,
+             y: np.ndarray) -> tuple[float, float]:
     """(accuracy, mean cross-entropy loss) over a dataset, batched."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -299,12 +297,10 @@ def evaluate(model: ModelState, x: np.ndarray, y: np.ndarray,
         raise UsageError("cannot evaluate on an empty dataset")
     hits = 0
     loss_sum = 0.0
-    for start in range(0, len(x), batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
+    for start in range(0, len(x), _EVAL_BATCH):
+        xb = x[start:start + _EVAL_BATCH]
+        yb = y[start:start + _EVAL_BATCH]
         logits = forward_logits(model, xb)
-        probs = _softmax(logits)
-        picked = np.maximum(probs[np.arange(len(xb)), yb], 1e-300)
-        loss_sum += float(-np.log(picked).sum())
+        loss_sum += float(_cross_entropy(_softmax(logits), yb).sum())
         hits += int((logits.argmax(axis=1) == yb).sum())
     return hits / len(x), loss_sum / len(x)

@@ -37,7 +37,7 @@ from .errors import (ConfigError, DepthExhaustedError, ProtocolError,
 from .model import (Dataset, SgdState, build_model, evaluate,
                     forward_backward, load_cifar10_batches, make_architecture,
                     make_toy_dataset, partition_iid, sgd_step)
-from .model.nets import Architecture, ModelState
+from .model.nets import HIDDEN_WIDTHS, Architecture, ModelState
 from .sensitivity import SelectionMask, jacobian_map, magnitude_map, select_top_r
 
 CLIENT_STREAM = 0x636C69
@@ -118,7 +118,14 @@ class FlConfig:
         if self.lr_step_rounds < 1 or self.checkpoint_every < 1:
             raise ConfigError(
                 "lr_step_rounds and checkpoint_every must be positive")
-        if self.arch not in ("mlp2", "conv-s", "linear"):
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum {self.momentum} outside [0, 1)")
+        if self.weight_decay < 0.0:
+            raise ConfigError(
+                f"weight_decay {self.weight_decay} must be non-negative")
+        if not 0.0 < self.lr_gamma <= 1.0:
+            raise ConfigError(f"lr_gamma {self.lr_gamma} outside (0, 1]")
+        if self.arch not in HIDDEN_WIDTHS:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.dataset != "toy" and not self.dataset.startswith("cifar10:"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from hefl.errors import ParseError
+from hefl.errors import NumericError, ParseError
 from hefl.model import (SgdState, build_model, evaluate, forward_backward,
                         forward_logits, load_cifar10_batches,
                         make_architecture, make_toy_dataset, partition_iid,
                         sgd_step)
-from hefl.model.nets import ModelState
+from hefl.model.nets import ModelState, _sigmoid
 
 
 def numeric_gradient(model, x, y, eps=1e-6):
@@ -89,6 +89,28 @@ def test_conv_forward_matches_direct_correlation(rng):
                                      2 * px:2 * px + 2].mean(axis=(0, 1))
         expected[b] = wo @ pooled.reshape(-1) + bo
     assert np.allclose(forward_logits(model, x), expected, atol=1e-12)
+
+
+def test_nonfinite_gradient_names_first_bad_slab(rng):
+    # an infinite pixel saturates fc1 to exactly 0 or 1, so the logits stay
+    # finite while fc1's weight gradient multiplies a zero delta by inf
+    arch = make_architecture("mlp2", (4, 4), 3)
+    model = build_model(arch, 2)
+    x = rng.uniform(0, 1, (2, arch.input_size))
+    x[1, 5] = np.inf
+    assert np.isfinite(forward_logits(model, x)).all()
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="layer 'fc1.weight'"):
+        forward_backward(model, x, np.array([0, 2]))
+
+
+def test_sigmoid_exact_at_extremes():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    with np.errstate(over="raise"):
+        out = _sigmoid(z)
+    assert out[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+    assert np.isnan(out[4])
+    assert out[5:].tolist() == [1.0, 0.0]
 
 
 def test_sgd_matches_hand_unrolled_recurrence(rng):

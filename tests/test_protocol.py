@@ -54,6 +54,11 @@ def test_config_precedence_and_unknown_keys():
     {"lr": 0.0},
     {"checkpoint_every": 0},
     {"lr_step_rounds": 0},
+    {"momentum": -1.0},
+    {"momentum": 1.0},
+    {"weight_decay": -0.1},
+    {"lr_gamma": 0.0},
+    {"lr_gamma": 2.0},
     # caught while building the experiment, not by validate alone
     {"train_size": 0},
     {"test_size": 0},
