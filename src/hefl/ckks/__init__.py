@@ -1,6 +1,12 @@
-"""Leveled CKKS core: RNS residue matrices, stacked NTT, batch encoding."""
+"""Leveled CKKS core: RNS residue matrices, stacked NTT, batch encoding.
 
-from .context import COEFF, NTT, CkksContext, RnsPoly, get_context
+Every polynomial is a bare uint64 residue matrix of shape (level + 1, N),
+one row per chain prime.  The container fixes its domain: ciphertexts
+and public keys hold NTT form, `SecretKey.s_ntt` is NTT form, and
+plaintexts hold coefficient form.
+"""
+
+from .context import CkksContext, get_context
 from .encoding import Plaintext, decode, encode
 from .keys import PublicKey, SecretKey, keygen
 from .ops import (Ciphertext, decrypt, encrypt, he_add, he_mul_scalar,
@@ -11,7 +17,7 @@ from .serialize import (deserialize_ciphertext, deserialize_public_key,
                         serialize_public_key, serialize_secret_key)
 
 __all__ = [
-    "COEFF", "NTT", "CkksContext", "RnsPoly", "get_context",
+    "CkksContext", "get_context",
     "Plaintext", "decode", "encode",
     "PublicKey", "SecretKey", "keygen",
     "Ciphertext", "decrypt", "encrypt", "he_add", "he_mul_scalar",

@@ -1,17 +1,21 @@
 """Precomputed tables tying parameters to executable ring arithmetic.
 
+A polynomial in Z_Q[X]/(X^N+1) is a bare uint64 residue matrix of shape
+(level + 1, N): row i holds the residues under chain prime i, so its
+level is its row count minus one.  Its domain (coefficient or NTT) is
+fixed by the container that holds it, not tagged on the array.
+
 A context bundles the NTT tables of all chain primes stacked row by
 row, CRT reconstruction constants, rescale inverses and the slot
 permutation of the canonical embedding.  Every residue operation runs
-once over a polynomial's whole (primes x N) matrix, row i under prime i.
-Contexts are cached per parameter set; all polynomial operations take
-the context explicitly.
+once over a polynomial's whole matrix, row i under prime i.  Contexts
+are cached per parameter set; all polynomial operations take the
+context explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,24 +25,9 @@ from .modmath import U64, mulmod_shoup, shoup_rows
 from .ntt import make_ntt, ntt_forward, ntt_inverse
 from .params import CkksParams
 
-COEFF = "coeff"
-NTT = "ntt"
-
 # error distribution of the scheme: centered Gaussian, 6-sigma tail cut
 SIGMA = 3.2
 TAIL_BOUND = round(6 * SIGMA)
-
-
-@dataclass
-class RnsPoly:
-    """Polynomial in Z_Q[X]/(X^N+1), one residue row per chain prime."""
-
-    residues: np.ndarray  # uint64, shape (level + 1, ring_dim)
-    domain: str
-
-    @property
-    def level(self) -> int:
-        return self.residues.shape[0] - 1
 
 
 class CkksContext:
@@ -74,55 +63,45 @@ class CkksContext:
 
     # ---- domain moves ----------------------------------------------------
 
-    def to_ntt(self, poly: RnsPoly) -> RnsPoly:
-        if poly.domain == NTT:
-            return poly
-        rows = self.ntt.rows(slice(0, poly.residues.shape[0]))
-        return RnsPoly(ntt_forward(poly.residues, rows), NTT)
+    def to_ntt(self, a: np.ndarray) -> np.ndarray:
+        return ntt_forward(a, self.ntt.rows(slice(0, a.shape[0])))
 
-    def to_coeff(self, poly: RnsPoly) -> RnsPoly:
-        if poly.domain == COEFF:
-            return poly
-        rows = self.ntt.rows(slice(0, poly.residues.shape[0]))
-        return RnsPoly(ntt_inverse(poly.residues, rows), COEFF)
+    def to_coeff(self, a: np.ndarray) -> np.ndarray:
+        return ntt_inverse(a, self.ntt.rows(slice(0, a.shape[0])))
 
     # ---- arithmetic ------------------------------------------------------
 
-    def add(self, a: RnsPoly, b: RnsPoly) -> RnsPoly:
-        if a.domain != b.domain:
-            raise UsageError("polynomial domain mismatch")
-        if a.residues.shape != b.residues.shape:
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Sum of two polynomials held in the same domain."""
+        if a.shape != b.shape:
             raise UsageError("polynomial level mismatch")
-        q = self.chain_u64[:a.residues.shape[0], None]
-        s = a.residues + b.residues
-        return RnsPoly(np.where(s >= q, s - q, s), a.domain)
+        q = self.chain_u64[:a.shape[0], None]
+        s = a + b
+        return np.where(s >= q, s - q, s)
 
-    def negate(self, a: RnsPoly) -> RnsPoly:
-        q = self.chain_u64[:a.residues.shape[0], None]
-        out = np.where(a.residues == 0, a.residues, q - a.residues)
-        return RnsPoly(out, a.domain)
+    def negate(self, a: np.ndarray) -> np.ndarray:
+        q = self.chain_u64[:a.shape[0], None]
+        return np.where(a == 0, a, q - a)
 
-    def mul_fixed(self, a: RnsPoly, fixed: np.ndarray,
-                  fixed_sh: np.ndarray) -> RnsPoly:
-        """Pointwise product with an operand that carries Shoup words.
+    def mul_fixed(self, a: np.ndarray, fixed: np.ndarray,
+                  fixed_sh: np.ndarray) -> np.ndarray:
+        """Pointwise product of an NTT-form polynomial with an operand
+        that carries Shoup words.
 
-        The operand has one row per prime: an (R, N) matrix, or one
-        constant per prime.
+        The operand has one row per prime: an (R, N) NTT-form matrix, or
+        one constant per prime.
         """
-        if a.domain != NTT:
-            raise UsageError("pointwise products need the NTT domain")
-        rows = a.residues.shape[0]
-        out = mulmod_shoup(a.residues, fixed.reshape(rows, -1),
-                           fixed_sh.reshape(rows, -1),
-                           self.chain_u64[:rows, None])
-        return RnsPoly(out, NTT)
+        rows = a.shape[0]
+        return mulmod_shoup(a, fixed.reshape(rows, -1),
+                            fixed_sh.reshape(rows, -1),
+                            self.chain_u64[:rows, None])
 
     # ---- lifting and sampling --------------------------------------------
 
-    def lift_signed(self, values: np.ndarray, level: int) -> RnsPoly:
-        """Small signed integer coefficients -> residues mod each prime."""
+    def lift_signed(self, values: np.ndarray, level: int) -> np.ndarray:
+        """Small signed integer coefficients -> coefficient-form residues."""
         q = self.chain_u64[:level + 1, None].astype(np.int64)
-        return RnsPoly(np.mod(values.astype(np.int64), q).astype(U64), COEFF)
+        return np.mod(values.astype(np.int64), q).astype(U64)
 
     def sample_ternary(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(-1, 2, size=self.params.ring_dim, dtype=np.int64)
@@ -132,19 +111,20 @@ class CkksContext:
         return np.clip(raw, -TAIL_BOUND, TAIL_BOUND).astype(np.int64)
 
     def sample_uniform_ntt(self, rng: np.random.Generator,
-                           level: int) -> RnsPoly:
+                           level: int) -> np.ndarray:
+        """Uniform residues, read as an NTT-form polynomial."""
         rows = [rng.integers(0, q, size=self.params.ring_dim, dtype=U64)
                 for q in self.params.modulus_chain[:level + 1]]
-        return RnsPoly(np.stack(rows), NTT)
+        return np.stack(rows)
 
     # ---- CRT reconstruction (decode path only) ----------------------------
 
-    def compose_centered(self, poly: RnsPoly) -> np.ndarray:
-        """Exact signed integer coefficients via CRT, as an object array."""
-        if poly.domain != COEFF:
-            raise UsageError("CRT composition needs the coefficient domain")
-        big_q = self.level_modulus[poly.level]
-        terms = poly.residues.astype(object) * self.crt_consts[poly.level]
+    def compose_centered(self, a: np.ndarray) -> np.ndarray:
+        """Exact signed integer coefficients of a coefficient-form
+        polynomial via CRT, as an object array."""
+        level = a.shape[0] - 1
+        big_q = self.level_modulus[level]
+        terms = a.astype(object) * self.crt_consts[level]
         total = terms.sum(axis=0) % big_q
         return np.where(total > big_q // 2, total - big_q, total)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EncodingRangeError, UsageError
-from .context import COEFF, CkksContext, RnsPoly
+from .context import CkksContext
 from .modmath import U64, shoup_rows
 
 # Signed coefficients must stay inside int64 for the residue lift.
@@ -24,16 +24,20 @@ _COEFF_WORD_LIMIT = float(2**62)
 
 @dataclass
 class Plaintext:
-    """Encoded slot vector: integer polynomial plus scale bookkeeping.
+    """Encoded slot vector: a coefficient-form (level + 1, N) residue
+    matrix plus scale bookkeeping.
 
     value_bits bounds log2 of the largest slot magnitude; homomorphic
     ops propagate it so the decrypt headroom check can be honest.
     """
 
-    poly: RnsPoly
+    poly: np.ndarray
     scale: float
-    level: int
     value_bits: float = 0.0
+
+    @property
+    def level(self) -> int:
+        return self.poly.shape[0] - 1
 
 
 def encode(values: np.ndarray, ctx: CkksContext) -> Plaintext:
@@ -65,15 +69,13 @@ def encode(values: np.ndarray, ctx: CkksContext) -> Plaintext:
 
     rounded = np.rint(coeffs).astype(np.int64)
     peak = float(np.max(np.abs(values))) if values.size else 0.0
-    return Plaintext(ctx.lift_signed(rounded, level), scale, level,
+    return Plaintext(ctx.lift_signed(rounded, level), scale,
                      math.log2(max(peak, 1.0)))
 
 
 def decode(pt: Plaintext, ctx: CkksContext) -> np.ndarray:
     """Real slot vector from a plaintext; exact CRT then one inverse FFT."""
     n = ctx.params.ring_dim
-    if pt.poly.domain != COEFF:
-        raise UsageError("decode needs a coefficient-domain plaintext")
     if pt.scale <= 0:
         raise UsageError("plaintext scale must be positive")
     coeffs = ctx.compose_centered(pt.poly).astype(np.float64)

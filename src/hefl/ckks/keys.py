@@ -46,14 +46,13 @@ def keygen(ctx: CkksContext, seed: int) -> tuple[SecretKey, PublicKey]:
     a = ctx.sample_uniform_ntt(rng, top)
 
     q = ctx.chain_u64[:, None]
-    s_ntt = ctx.to_ntt(ctx.lift_signed(s, top)).residues
+    s_ntt = ctx.to_ntt(ctx.lift_signed(s, top))
     s_sh = shoup_rows(s_ntt, q)
 
     a_s = ctx.mul_fixed(a, s_ntt, s_sh)
     e_ntt = ctx.to_ntt(ctx.lift_signed(e, top))
     b = ctx.add(ctx.negate(a_s), e_ntt)
 
-    pk = PublicKey(b.residues, shoup_rows(b.residues, q),
-                   a.residues, shoup_rows(a.residues, q))
+    pk = PublicKey(b, shoup_rows(b, q), a, shoup_rows(a, q))
     return SecretKey(s, s_ntt, s_sh), pk
 

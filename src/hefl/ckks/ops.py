@@ -1,9 +1,11 @@
 """Leveled homomorphic operations: encrypt, add, scalar multiply, rescale.
 
-Ciphertext polynomials live in the NTT domain so additions and the
-supported products are pointwise.  Levels index the modulus chain;
-the base prime (index 0) is reserved decryption headroom, so rescaling
-stops once only the base and one more prime remain.
+A ciphertext holds its two polynomials as bare residue matrices in the
+NTT domain from encryption to decryption, so additions and the
+supported products are pointwise; its level is their row count minus
+one.  Levels index the modulus chain; the base prime (index 0) is
+reserved decryption headroom, so rescaling stops once only the base and
+one more prime remain.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DecryptionIntegrityError, DepthExhaustedError, UsageError
-from .context import COEFF, NTT, SIGMA, CkksContext, RnsPoly
+from .context import SIGMA, CkksContext
 from .encoding import Plaintext, encode_scalar_residues
 from .keys import ENCRYPT_STREAM, PublicKey, SecretKey
 from .modmath import U64
@@ -23,23 +25,34 @@ from .ntt import ntt_inverse
 
 @dataclass
 class Ciphertext:
-    """RLWE pair (c0, c1) with scale/level bookkeeping.
+    """RLWE pair (c0, c1), NTT-form (level + 1, N) residue matrices,
+    with scale bookkeeping.
 
     noise_bits tracks log2 of a 6-sigma (not worst-case) estimate of the
     largest noise coefficient and value_bits bounds log2 of the largest
     slot magnitude; both feed the headroom and decrypt integrity checks.
     """
 
-    c0: RnsPoly
-    c1: RnsPoly
-    level: int
+    c0: np.ndarray
+    c1: np.ndarray
     scale: float
     noise_bits: float
     value_bits: float
 
+    @property
+    def level(self) -> int:
+        return self.c0.shape[0] - 1
+
 
 def _fresh_noise_bits(ring_dim: int) -> float:
-    # e0 + v*e_pk + e1*s, ternary weights: variance sigma^2 * (1 + 4N/3)
+    """log2 of 6 sigma of a fresh encryption's noise coefficient.
+
+    The noise e0 + v*e_pk + e1*s has ternary v and s (variance 2/3 per
+    coefficient), so each coefficient has variance sigma^2 * (1 + 4N/3)
+    and is close to Gaussian.  A Gaussian coefficient passes 6 sigma
+    with probability about 2e-9, so the bound fails somewhere in a
+    ciphertext with probability about N * 2e-9 (2e-6 at N = 1024).
+    """
     return math.log2(6 * SIGMA * math.sqrt(1 + 4 * ring_dim / 3))
 
 
@@ -66,8 +79,6 @@ def encrypt(pt: Plaintext, pk: PublicKey, ctx: CkksContext,
     params = ctx.params
     if pt.level != params.top_level:
         raise UsageError("fresh encryptions start at the top of the chain")
-    if pt.poly.domain != COEFF:
-        raise UsageError("plaintext polynomial must be in coefficient form")
     entropy = seed if isinstance(seed, tuple) else (seed,)
     rng = np.random.default_rng(
         np.random.SeedSequence((ENCRYPT_STREAM, *entropy)))
@@ -82,8 +93,7 @@ def encrypt(pt: Plaintext, pk: PublicKey, ctx: CkksContext,
     rows = slice(0, top + 1)
     c0 = ctx.add(ctx.mul_fixed(v, pk.b_ntt[rows], pk.b_sh[rows]), m_e0)
     c1 = ctx.add(ctx.mul_fixed(v, pk.a_ntt[rows], pk.a_sh[rows]), e1)
-    return Ciphertext(c0, c1, top, pt.scale,
-                      _fresh_noise_bits(params.ring_dim), pt.value_bits)
+    return Ciphertext(c0, c1, pt.scale, _fresh_noise_bits(params.ring_dim), pt.value_bits)
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey, ctx: CkksContext) -> Plaintext:
@@ -93,7 +103,7 @@ def decrypt(ct: Ciphertext, sk: SecretKey, ctx: CkksContext) -> Plaintext:
     rows = slice(0, ct.level + 1)
     c1_s = ctx.mul_fixed(ct.c1, sk.s_ntt[rows], sk.s_sh[rows])
     raw = ctx.to_coeff(ctx.add(ct.c0, c1_s))
-    return Plaintext(raw, ct.scale, ct.level, ct.value_bits)
+    return Plaintext(raw, ct.scale, ct.value_bits)
 
 
 def he_add(a: Ciphertext, b: Ciphertext, ctx: CkksContext) -> Ciphertext:
@@ -103,8 +113,8 @@ def he_add(a: Ciphertext, b: Ciphertext, ctx: CkksContext) -> Ciphertext:
         raise UsageError(f"scale mismatch: {a.scale} vs {b.scale}")
     noise = float(np.logaddexp2(a.noise_bits, b.noise_bits))
     value = float(np.logaddexp2(a.value_bits, b.value_bits))
-    return Ciphertext(ctx.add(a.c0, b.c0), ctx.add(a.c1, b.c1),
-                      a.level, a.scale, noise, value)
+    return Ciphertext(ctx.add(a.c0, b.c0), ctx.add(a.c1, b.c1), a.scale,
+                      noise, value)
 
 
 def he_mul_scalar(ct: Ciphertext, scalar: float, ctx: CkksContext) -> Ciphertext:
@@ -119,8 +129,7 @@ def he_mul_scalar(ct: Ciphertext, scalar: float, ctx: CkksContext) -> Ciphertext
     noise = ct.noise_bits + math.log2(max(magnitude, 1.0))
     value = ct.value_bits + (math.log2(magnitude / ctx.params.scale)
                              if magnitude else 0.0)
-    return Ciphertext(c0, c1, ct.level, ct.scale * ctx.params.scale,
-                      noise, value)
+    return Ciphertext(c0, c1, ct.scale * ctx.params.scale, noise, value)
 
 
 def rescale(ct: Ciphertext, ctx: CkksContext) -> Ciphertext:
@@ -132,18 +141,18 @@ def rescale(ct: Ciphertext, ctx: CkksContext) -> Ciphertext:
     params = ctx.params
     q_top = params.modulus_chain[lvl]
 
-    def drop(comp: RnsPoly) -> RnsPoly:
+    def drop(comp: np.ndarray) -> np.ndarray:
         # (c - [c]_q_top) * q_top^-1 on the lower primes, with the top
         # residue centred so the division rounds to nearest
-        last = ntt_inverse(comp.residues[lvl], ctx.ntt.rows(lvl))
+        last = ntt_inverse(comp[lvl], ctx.ntt.rows(lvl))
         signed = last.astype(np.int64)
         signed = np.where(last > U64(q_top // 2), signed - q_top, signed)
         corr = ctx.to_ntt(ctx.lift_signed(signed, lvl - 1))
-        diff = ctx.add(RnsPoly(comp.residues[:lvl], NTT), ctx.negate(corr))
+        diff = ctx.add(comp[:lvl], ctx.negate(corr))
         return ctx.mul_fixed(diff, ctx.rescale_inv[lvl],
                              ctx.rescale_inv_sh[lvl])
 
     noise = float(np.logaddexp2(ct.noise_bits - math.log2(q_top),
                                 _rescale_added_bits(params.ring_dim)))
-    return Ciphertext(drop(ct.c0), drop(ct.c1), lvl - 1,
-                      ct.scale / q_top, noise, ct.value_bits)
+    return Ciphertext(drop(ct.c0), drop(ct.c1), ct.scale / q_top, noise,
+                      ct.value_bits)

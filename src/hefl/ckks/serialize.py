@@ -12,11 +12,13 @@ Layout (little endian):
     32      noise estimate bits (f64)
     40      slot magnitude bound bits (f64)
     48      polynomial count (u8)
-    49      domain (u8): 0 coefficient, 1 NTT
+    49      domain (u8): 0 coefficient, 1 NTT; fixed by the payload kind
     50      poly_count * (level+1) * ring_dim residues (u64 each)
 
-Deserialization validates against the caller's parameter set and
-reports the byte offset of the first inconsistent field.
+Each payload kind has one domain: a ciphertext and a public key are
+stored in NTT form, a secret key in coefficient form.  Deserialization
+validates against the caller's parameter set, rejects any other domain
+code, and reports the byte offset of the first inconsistent field.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import struct
 import numpy as np
 
 from ..errors import ParseError
-from .context import COEFF, NTT, CkksContext, RnsPoly
+from .context import CkksContext
 from .keys import PublicKey, SecretKey
 from .modmath import U64, shoup_rows
 from .ops import Ciphertext
@@ -39,23 +41,23 @@ KIND_PUBLIC_KEY = 2
 KIND_SECRET_KEY = 3
 
 _HEADER = struct.Struct("<4sHB16sBdddBB")
-_DOMAIN_CODES = {COEFF: 0, NTT: 1}
-_DOMAIN_NAMES = {0: COEFF, 1: NTT}
+# domain code of each payload kind: 0 coefficient, 1 NTT
+_KIND_DOMAIN = {KIND_CIPHERTEXT: 1, KIND_PUBLIC_KEY: 1, KIND_SECRET_KEY: 0}
 
 
 def _pack(kind: int, ctx: CkksContext, level: int, scale: float,
-          noise_bits: float, value_bits: float, polys: list[np.ndarray],
-          domain: str) -> bytes:
+          noise_bits: float, value_bits: float,
+          polys: list[np.ndarray]) -> bytes:
     head = _HEADER.pack(MAGIC, FORMAT_VERSION, kind, ctx.params.fingerprint(),
                         level, scale, noise_bits, value_bits, len(polys),
-                        _DOMAIN_CODES[domain])
+                        _KIND_DOMAIN[kind])
     body = b"".join(np.ascontiguousarray(p, dtype="<u8").tobytes()
                     for p in polys)
     return head + body
 
 
 def _unpack(data: bytes, ctx: CkksContext, expected_kind: int,
-            ) -> tuple[int, float, float, float, list[np.ndarray], str]:
+            ) -> tuple[int, float, float, float, list[np.ndarray]]:
     if len(data) < _HEADER.size:
         raise ParseError("truncated header", offset=len(data))
     (magic, version, kind, fp, level, scale, noise_bits, value_bits, count,
@@ -71,8 +73,10 @@ def _unpack(data: bytes, ctx: CkksContext, expected_kind: int,
         raise ParseError("params fingerprint mismatch", offset=7)
     if level > ctx.params.top_level:
         raise ParseError(f"level {level} outside the modulus chain", offset=23)
-    if domain_code not in _DOMAIN_NAMES:
-        raise ParseError(f"unknown domain code {domain_code}", offset=49)
+    if domain_code != _KIND_DOMAIN[kind]:
+        raise ParseError(f"domain code {domain_code}, expected "
+                         f"{_KIND_DOMAIN[kind]} for payload kind {kind}",
+                         offset=49)
     n = ctx.params.ring_dim
     expected = _HEADER.size + count * (level + 1) * n * 8
     if len(data) != expected:
@@ -86,35 +90,32 @@ def _unpack(data: bytes, ctx: CkksContext, expected_kind: int,
         p, i = bad[0]
         raise ParseError(f"residue out of range for prime {i}",
                          offset=_HEADER.size + int(p) * (level + 1) * n * 8)
-    return (level, scale, noise_bits, value_bits, list(polys),
-            _DOMAIN_NAMES[domain_code])
+    return level, scale, noise_bits, value_bits, list(polys)
 
 
 def serialize_ciphertext(ct: Ciphertext, ctx: CkksContext) -> bytes:
     return _pack(KIND_CIPHERTEXT, ctx, ct.level, ct.scale, ct.noise_bits,
-                 ct.value_bits, [ct.c0.residues, ct.c1.residues],
-                 ct.c0.domain)
+                 ct.value_bits, [ct.c0, ct.c1])
 
 
 def deserialize_ciphertext(data: bytes, ctx: CkksContext) -> Ciphertext:
-    level, scale, noise_bits, value_bits, polys, domain = _unpack(
+    _, scale, noise_bits, value_bits, polys = _unpack(
         data, ctx, KIND_CIPHERTEXT)
     if len(polys) != 2:
         raise ParseError(f"ciphertext carries {len(polys)} polys", offset=48)
     if scale <= 0:
         raise ParseError("non-positive scale", offset=24)
-    return Ciphertext(RnsPoly(polys[0], domain), RnsPoly(polys[1], domain),
-                      level, scale, noise_bits, value_bits)
+    return Ciphertext(polys[0], polys[1], scale, noise_bits, value_bits)
 
 
 def serialize_public_key(pk: PublicKey, ctx: CkksContext) -> bytes:
     return _pack(KIND_PUBLIC_KEY, ctx, ctx.params.top_level, 0.0, 0.0, 0.0,
-                 [pk.b_ntt, pk.a_ntt], NTT)
+                 [pk.b_ntt, pk.a_ntt])
 
 
 def deserialize_public_key(data: bytes, ctx: CkksContext) -> PublicKey:
-    level, _, _, _, polys, domain = _unpack(data, ctx, KIND_PUBLIC_KEY)
-    if len(polys) != 2 or level != ctx.params.top_level or domain != NTT:
+    level, _, _, _, polys = _unpack(data, ctx, KIND_PUBLIC_KEY)
+    if len(polys) != 2 or level != ctx.params.top_level:
         raise ParseError("malformed public key payload", offset=23)
     b, a = polys
     q = ctx.chain_u64[:, None]
@@ -124,12 +125,12 @@ def deserialize_public_key(data: bytes, ctx: CkksContext) -> PublicKey:
 def serialize_secret_key(sk: SecretKey, ctx: CkksContext) -> bytes:
     coeff = ctx.lift_signed(sk.s_ternary, ctx.params.top_level)
     return _pack(KIND_SECRET_KEY, ctx, ctx.params.top_level, 0.0, 0.0, 0.0,
-                 [coeff.residues], COEFF)
+                 [coeff])
 
 
 def deserialize_secret_key(data: bytes, ctx: CkksContext) -> SecretKey:
-    level, _, _, _, polys, domain = _unpack(data, ctx, KIND_SECRET_KEY)
-    if len(polys) != 1 or level != ctx.params.top_level or domain != COEFF:
+    level, _, _, _, polys = _unpack(data, ctx, KIND_SECRET_KEY)
+    if len(polys) != 1 or level != ctx.params.top_level:
         raise ParseError("malformed secret key payload", offset=23)
     rows = polys[0]
     q0 = ctx.params.modulus_chain[0]
@@ -140,9 +141,9 @@ def deserialize_secret_key(data: bytes, ctx: CkksContext) -> SecretKey:
                          offset=_HEADER.size)
     # every row must lift the same ternary secret as row 0
     coeff = ctx.lift_signed(ternary, level)
-    bad = np.flatnonzero((coeff.residues != rows).any(axis=1))
+    bad = np.flatnonzero((coeff != rows).any(axis=1))
     if bad.size:
         raise ParseError(f"secret key row {bad[0]} disagrees with row 0",
                          offset=_HEADER.size + int(bad[0]) * rows.shape[1] * 8)
-    s_ntt = ctx.to_ntt(coeff).residues
+    s_ntt = ctx.to_ntt(coeff)
     return SecretKey(ternary, s_ntt, shoup_rows(s_ntt, ctx.chain_u64[:, None]))

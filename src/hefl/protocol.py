@@ -535,7 +535,16 @@ def load_checkpoint(path: str | Path, state: ExperimentState) -> None:
             "checkpoint was produced by a different configuration")
     if header["layout"] != _layout_header(state.arch):
         raise ConfigError("checkpoint layout does not match the model")
-    count = header["param_count"]
+    count, done = header["param_count"], header["round"]
+    # bool is an int subclass, and 1.0 == 1: test the JSON types exactly
+    if type(done) is not int or not 0 <= done <= state.config.rounds:
+        raise ConfigError(f"checkpoint round {done!r} is not an integer in "
+                          f"[0, {state.config.rounds}]")
+    if type(count) is not int or count != state.model.size:
+        raise ConfigError(f"checkpoint param_count {count!r}, expected "
+                          f"{state.model.size}")
+    if type(header["has_prev_update"]) is not bool:
+        raise ConfigError("checkpoint has_prev_update is not a boolean")
     body = raw[4 + head_len:]
     need = count * 8 * (2 if header["has_prev_update"] else 1)
     if len(body) != need:
@@ -548,7 +557,7 @@ def load_checkpoint(path: str | Path, state: ExperimentState) -> None:
                                           offset=count * 8).copy()
     else:
         state.prev_update = None
-    state.round_index = header["round"]
+    state.round_index = done
 
 
 def write_capture(path: str | Path, state: ExperimentState,
@@ -583,6 +592,16 @@ def write_capture(path: str | Path, state: ExperimentState,
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
+def _kept_wall_ms(line: str, round_index: int) -> dict[str, float]:
+    """Per-stage wall times of a round record kept across a resume."""
+    try:
+        wall = json.loads(line)["wall_ms"]
+        return {name: float(wall[name]) for name in _STAGES}
+    except (KeyError, TypeError, ValueError):  # JSONDecodeError included
+        raise ConfigError(f"records.jsonl round {round_index} is not a "
+                          "round record") from None
+
+
 def run_experiment(cfg: FlConfig, out_dir: str | Path,
                    resume: bool = False) -> dict:
     """Full training run; writes records.jsonl, checkpoints and captures."""
@@ -593,6 +612,7 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
     ckpt_path = out / "checkpoint.bin"
 
     kept: list[str] = []
+    stage_totals = dict.fromkeys(_STAGES, 0.0)
     if resume:
         if not ckpt_path.exists():
             raise ConfigError(f"cannot resume: {ckpt_path} does not exist")
@@ -602,9 +622,12 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
         if len(kept) < state.round_index:
             raise ConfigError(
                 "records.jsonl has fewer rounds than the checkpoint")
+        # the summary totals every round in records.jsonl, kept ones too
+        for i, line in enumerate(kept, 1):
+            for name, ms in _kept_wall_ms(line, i).items():
+                stage_totals[name] += ms
     records_path.write_text("".join(line + "\n" for line in kept))
 
-    stage_totals = dict.fromkeys(_STAGES, 0.0)
     record = None
     while state.round_index < cfg.rounds:
         pre_round = state.model

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import hefl.ckks as ckks
-from hefl.ckks.context import COEFF, NTT, RnsPoly
 from hefl.ckks.modmath import mulmod_shoup, shoup
 from hefl.ckks.ntt import make_prime_ntt, ntt_forward, ntt_inverse
 from hefl.errors import (DecryptionIntegrityError, DepthExhaustedError,
@@ -34,8 +33,8 @@ def test_encrypt_deterministic_by_seed(ctx_small, keys_small):
     x = ckks.encrypt(pt, pk, ctx_small, 5)
     y = ckks.encrypt(pt, pk, ctx_small, 5)
     z = ckks.encrypt(pt, pk, ctx_small, 6)
-    assert np.array_equal(x.c0.residues, y.c0.residues)
-    assert not np.array_equal(x.c0.residues, z.c0.residues)
+    assert np.array_equal(x.c0, y.c0)
+    assert not np.array_equal(x.c0, z.c0)
 
 
 def test_encrypt_decrypt_error_bound(ctx_small, keys_small, rng):
@@ -151,6 +150,32 @@ def test_paper_profile_precision(ctx_paper, keys_paper, rng):
     assert np.max(np.abs(out - 0.25 * v)) < 1e-5
 
 
+@pytest.mark.parametrize("profile, fixtures", [
+    ("test-small", ("ctx_small", "keys_small")),
+    ("paper-128", ("ctx_paper", "keys_paper")),
+])
+def test_fresh_noise_matches_estimate(profile, fixtures, request):
+    """Measured fresh-encryption noise against the tracked estimate.
+
+    Over 20 seeded encryptions, decrypted-minus-encoded coefficients
+    have a sigma within 10% of the formula's (2^noise_bits / 6), and
+    none reaches the 6-sigma bound 2^noise_bits.
+    """
+    ctx, (sk, pk) = (request.getfixturevalue(f) for f in fixtures)
+    values = np.random.default_rng(3).uniform(-1, 1, ctx.params.slot_count)
+    pt = ckks.encode(values, ctx)
+    noise = []
+    for seed in range(20):
+        ct = ckks.encrypt(pt, pk, ctx, seed)
+        diff = ctx.add(ckks.decrypt(ct, sk, ctx).poly, ctx.negate(pt.poly))
+        # the noise is far below the base prime, so row 0 fixes it exactly
+        noise.append(ctx.compose_centered(diff[:1]).astype(np.float64))
+    noise = np.concatenate(noise)
+    bound = 2.0 ** ct.noise_bits
+    assert 0.9 <= np.sqrt(np.mean(noise**2)) / (bound / 6) <= 1.1
+    assert np.abs(noise).max() < bound
+
+
 # sha256 of sk + pk + fresh ciphertext + rescaled ciphertext; a change to
 # these bits breaks the byte-determinism promised for keys and ciphertexts
 GOLDEN_DIGESTS = {
@@ -192,13 +217,13 @@ def test_matrix_ops_match_per_prime_kernels(profile):
                      for row, q in zip(b, chain)], dtype=np.uint64)
     signed = rng.integers(-40, 41, n)
 
-    fwd = ctx.to_ntt(RnsPoly(a, COEFF)).residues
-    inv = ctx.to_coeff(RnsPoly(a, NTT)).residues
-    prod = ctx.mul_fixed(RnsPoly(a, NTT), b, b_sh).residues
-    lifted = ctx.lift_signed(signed, top).residues
+    fwd = ctx.to_ntt(a)
+    inv = ctx.to_coeff(a)
+    prod = ctx.mul_fixed(a, b, b_sh)
+    lifted = ctx.lift_signed(signed, top)
     # one constant per prime, as rescale multiplies by q_top^-1
-    scaled = ctx.mul_fixed(RnsPoly(a[:top], NTT), ctx.rescale_inv[top],
-                           ctx.rescale_inv_sh[top]).residues
+    scaled = ctx.mul_fixed(a[:top], ctx.rescale_inv[top],
+                           ctx.rescale_inv_sh[top])
     for i, q in enumerate(chain):
         tab, q64 = make_prime_ntt(n, q), np.uint64(q)
         assert np.array_equal(fwd[i], ntt_forward(a[i], tab)), i

@@ -247,6 +247,19 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert {"final_train_accuracy", "final_test_accuracy",
             "final_train_loss"} <= untimed(part).keys()
     assert untimed(part) == untimed(tmp_path / "full")
+
+    def wall_totals_match_records(run_dir):
+        # the summary counts every round in records.jsonl, kept ones too
+        summary = json.loads((run_dir / "summary.json").read_text())
+        walls = [json.loads(x)["wall_ms"] for x in
+                 (run_dir / "records.jsonl").read_text().splitlines()]
+        for name, total in summary["stage_totals_ms"].items():
+            assert total == pytest.approx(sum(w[name] for w in walls),
+                                          abs=0.01), name
+        assert summary["total_wall_ms"] == pytest.approx(
+            sum(summary["stage_totals_ms"].values()))
+
+    wall_totals_match_records(part)
     # a resume from the final round's checkpoint runs no round, so its
     # summary evaluates the restored model itself
     done = tmp_path / "done"
@@ -255,6 +268,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (done / name).write_bytes((tmp_path / "full" / name).read_bytes())
     run_experiment(cfg, done, resume=True)
     assert untimed(done) == untimed(tmp_path / "full")
+    wall_totals_match_records(done)
     assert (done / "records.jsonl").read_text() == \
         (tmp_path / "full" / "records.jsonl").read_text()
 
@@ -295,6 +309,21 @@ def test_resume_guards(tmp_path):
             struct.pack("<I", len(header)) + header + raw[-8:])
         with pytest.raises(ConfigError, match=match):
             run_experiment(cfg, tmp_path, resume=True)
+    # header fields of the wrong type or range, each beside a valid body
+    head_len = struct.unpack_from("<I", raw)[0]
+    good = json.loads(raw[4:4 + head_len])
+    for key, value, match in (("round", "1", "round"), ("round", 1.5, "round"),
+                              ("round", -1, "round"), ("round", 3, "round"),
+                              ("round", True, "round"),
+                              ("param_count", 10, "param_count"),
+                              ("param_count", float(good["param_count"]),
+                               "param_count"),
+                              ("has_prev_update", 1, "has_prev_update")):
+        header = json.dumps({**good, key: value}).encode()
+        (tmp_path / "checkpoint.bin").write_bytes(
+            struct.pack("<I", len(header)) + header + raw[4 + head_len:])
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(cfg, tmp_path, resume=True)
 
 
 def test_resume_requires_matching_records(tmp_path):
@@ -310,6 +339,10 @@ def test_resume_requires_matching_records(tmp_path):
     records.unlink()                                # or the whole file
     with pytest.raises(ConfigError, match="fewer rounds"):
         run_experiment(cfg, tmp_path, resume=True)
+    for lines in ("x\n{}\n", '{"wall_ms": {}}\n{"wall_ms": 1}\n'):
+        records.write_text(lines)                   # or lines that are no rounds
+        with pytest.raises(ConfigError, match="not a round record"):
+            run_experiment(cfg, tmp_path, resume=True)
 
 
 def test_single_step_capture_contents(tmp_path):

@@ -108,3 +108,23 @@ def test_non_ternary_secret_rejected(ctx_small, keys_small):
         with pytest.raises(ParseError) as err:
             ckks.deserialize_secret_key(bytes(blob), ctx_small)
         assert err.value.offset == pos
+
+
+def test_domain_byte_fixed_by_kind(ctx_small, keys_small, sample_ct):
+    # a ciphertext and a public key are NTT form (1), a secret key is
+    # coefficient form (0); the other code is rejected at its own offset
+    sk, pk = keys_small
+    for blob, load, swapped in (
+            (ckks.serialize_ciphertext(sample_ct, ctx_small),
+             ckks.deserialize_ciphertext, 0),
+            (ckks.serialize_public_key(pk, ctx_small),
+             ckks.deserialize_public_key, 0),
+            (ckks.serialize_secret_key(sk, ctx_small),
+             ckks.deserialize_secret_key, 1)):
+        assert blob[49] == 1 - swapped
+        for code in (swapped, 2):
+            bad = bytearray(blob)
+            bad[49] = code
+            with pytest.raises(ParseError) as err:
+                load(bytes(bad), ctx_small)
+            assert err.value.offset == 49
