@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, UsageError
-from .model import forward_backward, make_architecture
+from .errors import NumericError, ParseError, UsageError
+from .model import forward_backward
 from .model.nets import Architecture, ModelState, example_terms
 
 ATTACK_STREAM = 0x61746B
@@ -257,16 +257,19 @@ def load_capture(path: str | Path) -> dict:
         raise ParseError(f"capture {path} is not valid JSON: {exc}",
                          0) from None
     try:
-        arch = make_architecture(raw["arch"]["name"],
-                                 tuple(raw["arch"]["input_shape"]),
-                                 raw["arch"]["n_classes"])
+        arch = Architecture(raw["arch"]["name"],
+                            tuple(raw["arch"]["input_shape"]),
+                            raw["arch"]["n_classes"])
         flat = np.frombuffer(
             base64.b64decode(raw["model_flat"]), dtype="<f8").copy()
         model = ModelState(arch, flat)
+        total = raw["mask"]["total"]
+        if type(total) is not int:  # not a bool, not a truncated float
+            raise ParseError(f"capture {path}: mask total {total!r} is not "
+                             "an integer", 0)
         visible = VisibleUpdate(
             np.asarray(raw["visible"]["indices"], dtype=np.int64),
-            np.asarray(raw["visible"]["values"], dtype=np.float64),
-            int(raw["mask"]["total"]))
+            np.asarray(raw["visible"]["values"], dtype=np.float64), total)
         x = np.asarray(raw["example"]["x"], dtype=np.float64)
         y = np.asarray(raw["example"]["y"], dtype=np.int64)
         meta = {"round": raw["round"], "client_id": raw["client_id"],
@@ -293,6 +296,9 @@ def load_capture(path: str | Path) -> dict:
     if y.shape != (1,) or not 0 <= y[0] < arch.n_classes:
         raise ParseError(f"capture {path}: the example needs one label in "
                          f"[0, {arch.n_classes}), got {y.tolist()}", 0)
+    for name, values in (("example.x", x), ("visible.values", visible.values)):
+        if not np.isfinite(values).all():
+            raise NumericError(f"capture {path}: non-finite values in {name}")
     return {"model": model, "visible": visible, "x": x[0].reshape(-1),
             "y": int(y[0]), **meta}
 

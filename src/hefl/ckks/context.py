@@ -32,7 +32,6 @@ TAIL_BOUND = round(6 * SIGMA)
 
 class CkksContext:
     def __init__(self, params: CkksParams):
-        params.validate()
         self.params = params
         n = params.ring_dim
         self.ntt = make_ntt(n, params.modulus_chain)

@@ -45,7 +45,7 @@ class CkksParams:
         text = f"{self.ring_dim}|{','.join(map(str, self.modulus_chain))}|{self.log2_scale}"
         return hashlib.sha256(text.encode()).digest()[:16]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = self.ring_dim
         if n < 8 or n & (n - 1):
             raise UsageError(f"ring_dim must be a power of two >= 8, got {n}")
@@ -78,10 +78,8 @@ def _build_profile(ring_dim: int, chain_bits: tuple[int, ...],
         p = largest_ntt_primes(bits, ring_dim, 1, exclude=used)[0]
         chain.append(p)
         used.add(p)
-    params = CkksParams(ring_dim, tuple(chain), log2_scale)
-    params.validate()
     assert sum(q.bit_length() for q in chain) == sum(chain_bits)
-    return params
+    return CkksParams(ring_dim, tuple(chain), log2_scale)
 
 
 # base prime first, scale-sized prime last (dropped by the one rescale)

@@ -18,11 +18,13 @@ Layout (little endian):
 Each payload kind has one domain: a ciphertext and a public key are
 stored in NTT form, a secret key in coefficient form.  Deserialization
 validates against the caller's parameter set, rejects any other domain
-code, and reports the byte offset of the first inconsistent field.
+code and any non-finite f64 field, and reports the byte offset of the
+first inconsistent field.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -73,6 +75,11 @@ def _unpack(data: bytes, ctx: CkksContext, expected_kind: int,
         raise ParseError("params fingerprint mismatch", offset=7)
     if level > ctx.params.top_level:
         raise ParseError(f"level {level} outside the modulus chain", offset=23)
+    for offset, name, value in ((24, "scale", scale),
+                                (32, "noise estimate", noise_bits),
+                                (40, "value bound", value_bits)):
+        if not math.isfinite(value):
+            raise ParseError(f"{name} {value} is not finite", offset=offset)
     if domain_code != _KIND_DOMAIN[kind]:
         raise ParseError(f"domain code {domain_code}, expected "
                          f"{_KIND_DOMAIN[kind]} for payload kind {kind}",

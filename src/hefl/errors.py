@@ -36,7 +36,8 @@ class ProtocolError(HeflError):
 
 
 class CryptoError(HeflError):
-    """Ciphertext-level contract violation (domain, scale, level)."""
+    """Ciphertext-level contract violation (encoding headroom, modulus
+    depth, noise budget)."""
 
     exit_code = EXIT_CRYPTO
 

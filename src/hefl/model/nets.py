@@ -47,6 +47,21 @@ class Architecture:
     input_shape: tuple[int, ...]
     n_classes: int
 
+    def __post_init__(self) -> None:
+        if self.name not in HIDDEN_WIDTHS:
+            raise UsageError(f"unknown architecture {self.name!r}")
+        if self.name == "conv-s":
+            if len(self.input_shape) != 2:
+                raise UsageError("conv-s expects a 2-d single-channel input")
+            if min(self.input_shape) < _CONV_KERNEL + _POOL - 1:
+                raise UsageError(f"conv-s needs inputs of at least "
+                                 f"{_CONV_KERNEL + _POOL - 1} pixels per side")
+            if any((side - _CONV_KERNEL + 1) % _POOL
+                   for side in self.input_shape):
+                raise UsageError("conv-s output must tile into 2x2 pools")
+        if self.n_classes < 2:
+            raise UsageError("need at least two classes")
+
     @cached_property
     def input_size(self) -> int:
         return int(math.prod(self.input_shape))
@@ -87,26 +102,9 @@ class Architecture:
         return {s.name: s for s in self.layout}
 
 
-def make_architecture(name: str, input_shape: tuple[int, ...],
-                      n_classes: int) -> Architecture:
-    if name not in HIDDEN_WIDTHS:
-        raise UsageError(f"unknown architecture {name!r}")
-    if name == "conv-s":
-        if len(input_shape) != 2:
-            raise UsageError("conv-s expects a 2-d single-channel input")
-        if min(input_shape) < _CONV_KERNEL + _POOL - 1:
-            raise UsageError(f"conv-s needs inputs of at least "
-                             f"{_CONV_KERNEL + _POOL - 1} pixels per side")
-    if n_classes < 2:
-        raise UsageError("need at least two classes")
-    return Architecture(name, tuple(input_shape), n_classes)
-
-
 def _conv_dims(arch: Architecture) -> tuple[int, int, int, int]:
     h, w = arch.input_shape
     oh, ow = h - _CONV_KERNEL + 1, w - _CONV_KERNEL + 1
-    if oh % _POOL or ow % _POOL:
-        raise UsageError("conv-s output must tile into 2x2 pools")
     return oh, ow, oh // _POOL, ow // _POOL
 
 

@@ -35,8 +35,8 @@ from . import ckks
 from .errors import (ConfigError, DepthExhaustedError, ProtocolError,
                      UsageError)
 from .model import (Dataset, SgdState, build_model, evaluate,
-                    forward_backward, load_cifar10_batches, make_architecture,
-                    make_toy_dataset, partition_iid, sgd_step)
+                    forward_backward, load_cifar10_batches, make_toy_dataset,
+                    partition_iid, sgd_step)
 from .model.nets import HIDDEN_WIDTHS, Architecture, ModelState
 from .sensitivity import SelectionMask, jacobian_map, magnitude_map, select_top_r
 
@@ -48,6 +48,7 @@ KEY_SEED_STREAM = 0x6B7365
 GLOBAL_ETA = 1.0
 
 CHECKPOINT_MAGIC = "hefl-checkpoint"
+CHECKPOINT_FILE = "checkpoint.bin"
 _CHECKPOINT_KEYS = {"config_digest", "layout", "param_count",
                     "has_prev_update", "round"}
 _STAGES = ("train", "encrypt", "aggregate_he", "aggregate_plain", "decrypt")
@@ -95,7 +96,7 @@ class FlConfig:
     single_step: bool = False
     calibration_batches: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if not _has_kind(value, kind):
@@ -160,11 +161,9 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> FlConfig:
     if isinstance(merged.get("input_shape"), list):
         merged["input_shape"] = tuple(merged["input_shape"])
     try:
-        cfg = FlConfig(**merged)
+        return FlConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    cfg.validate()
-    return cfg
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> FlConfig:
@@ -201,17 +200,15 @@ class RoundRecord:
     wall_ms: dict[str, float]
 
     def to_json(self) -> str:
-        body = {
-            "round": self.round_index,
-            "encryption_ratio": self.encryption_ratio,
-            "sensitivity_method": self.sensitivity_method,
-            "mask_count": self.mask_count,
-            "mask_fingerprint": self.mask_fingerprint,
-            "train_accuracy": round(self.train_accuracy, 10),
-            "test_accuracy": round(self.test_accuracy, 10),
-            "avg_train_loss": round(self.avg_train_loss, 10),
-            "wall_ms": {k: round(v, 3) for k, v in self.wall_ms.items()},
-        }
+        """One JSON line: metrics rounded to 10 decimals, wall times
+        (the one dict field) to 3, round_index keyed as "round"."""
+        body = {}
+        for name, value in asdict(self).items():
+            if isinstance(value, dict):
+                value = {k: round(v, 3) for k, v in value.items()}
+            elif isinstance(value, float):
+                value = round(value, 10)
+            body["round" if name == "round_index" else name] = value
         return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
@@ -242,7 +239,10 @@ def _load_dataset(cfg: FlConfig) -> tuple[Dataset, Dataset, Dataset]:
                                  cfg.input_shape, split=2)
         return train, test, calib
     pattern = cfg.dataset.split(":", 1)[1]
-    paths = sorted(glob.glob(pattern, recursive=True))
+    # the checkpoint is the one binary file a run writes; a pattern broad
+    # enough to reach run directories must not read it as a batch file
+    paths = sorted(p for p in glob.glob(pattern, recursive=True)
+                   if Path(p).name != CHECKPOINT_FILE)
     if not paths:
         raise ConfigError(f"dataset pattern {pattern!r} matches no files")
     full = load_cifar10_batches(paths)
@@ -259,13 +259,12 @@ def _load_dataset(cfg: FlConfig) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def init_experiment(cfg: FlConfig) -> ExperimentState:
-    cfg.validate()
     try:
         train, test, calib = _load_dataset(cfg)
         shape = train.input_shape
         if cfg.dataset != "toy" and cfg.arch != "conv-s":
             shape = (math.prod(shape),)
-        arch = make_architecture(cfg.arch, shape, train.n_classes)
+        arch = Architecture(cfg.arch, shape, train.n_classes)
         model = build_model(arch, cfg.seed)
         shards = partition_iid(train, cfg.clients, cfg.seed)
     except UsageError as exc:
@@ -609,10 +608,9 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     state = init_experiment(cfg)
     records_path = out / "records.jsonl"
-    ckpt_path = out / "checkpoint.bin"
+    ckpt_path = out / CHECKPOINT_FILE
 
     kept: list[str] = []
-    stage_totals = dict.fromkeys(_STAGES, 0.0)
     if resume:
         if not ckpt_path.exists():
             raise ConfigError(f"cannot resume: {ckpt_path} does not exist")
@@ -622,10 +620,8 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
         if len(kept) < state.round_index:
             raise ConfigError(
                 "records.jsonl has fewer rounds than the checkpoint")
-        # the summary totals every round in records.jsonl, kept ones too
-        for i, line in enumerate(kept, 1):
-            for name, ms in _kept_wall_ms(line, i).items():
-                stage_totals[name] += ms
+    # the summary totals every round in records.jsonl, kept ones too
+    walls = [_kept_wall_ms(line, i) for i, line in enumerate(kept, 1)]
     records_path.write_text("".join(line + "\n" for line in kept))
 
     record = None
@@ -634,8 +630,7 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
         record, updates, mask = run_round(state)
         with records_path.open("a") as fh:
             fh.write(record.to_json() + "\n")
-        for name in _STAGES:
-            stage_totals[name] += record.wall_ms[name]
+        walls.append(record.wall_ms)
         if cfg.single_step and record.round_index == 1:
             for u in updates:
                 write_capture(out / f"capture_r1_c{u.client_id}.json",
@@ -650,6 +645,8 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
         train_acc, test_acc, train_loss = (record.train_accuracy,
                                            record.test_accuracy,
                                            record.avg_train_loss)
+    stage_totals = {name: sum((w[name] for w in walls), 0.0)
+                    for name in _STAGES}
     summary = {
         "encryption_ratio": cfg.encryption_ratio,
         "sensitivity_method": cfg.sensitivity_method,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hefl.ckks as ckks
-from hefl.model import make_architecture, make_toy_dataset
+from hefl.model import Architecture, make_toy_dataset
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def keys_paper(ctx_paper):
 
 @pytest.fixture(scope="session")
 def mlp_arch():
-    return make_architecture("mlp2", (8, 8), 10)
+    return Architecture("mlp2", (8, 8), 10)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from hefl.attack import (AttackConfig, VisibleUpdate, _fd_gradient,
                          attack_example, gradient_objective, infer_label,
                          load_capture, reconstruct, visible_view, write_pgm)
 from hefl.errors import ParseError, UsageError
-from hefl.model import (build_model, forward_backward, make_architecture,
+from hefl.model import (Architecture, build_model, forward_backward,
                         make_toy_dataset)
 
 FAST = AttackConfig(iterations=60, restarts=2)
@@ -30,7 +30,7 @@ def full_visible(model, x, y):
 
 @pytest.fixture()
 def small_setup():
-    arch = make_architecture("mlp2", (4, 4), 3)
+    arch = Architecture("mlp2", (4, 4), 3)
     model = build_model(arch, 11)
     ds = make_toy_dataset(4, 11, n_classes=3, shape=(4, 4))
     return model, ds.x[0], int(ds.y[0])
@@ -70,7 +70,7 @@ FD_RTOL = 1e-7
 
 @pytest.mark.parametrize("arch_name", ["mlp2", "conv-s", "linear"])
 def test_fd_gradient_matches_serial_loop(arch_name):
-    arch = make_architecture(arch_name, (8, 8), 4)
+    arch = Architecture(arch_name, (8, 8), 4)
     model = build_model(arch, 5)
     rng = np.random.default_rng(0xFD)
     target = rng.uniform(0.0, 1.0, arch.input_size)
@@ -107,7 +107,7 @@ def test_label_inference_full_visibility(small_setup):
 
 
 def test_label_inference_abstains():
-    arch = make_architecture("mlp2", (4, 4), 3)
+    arch = Architecture("mlp2", (4, 4), 3)
     model = build_model(arch, 2)
     ds = make_toy_dataset(2, 2, n_classes=3, shape=(4, 4))
     vis = full_visible(model, ds.x[0], int(ds.y[0]))
@@ -240,6 +240,7 @@ def test_load_capture_rejects_malformed(tmp_path):
          "strictly increasing"),
         ("visible", {**vis, "values": vis["values"][:-1]}, "visible values"),
         ("mask", {**mask, "total": mask["total"] + 1}, "parameters"),
+        ("mask", {**mask, "total": mask["total"] + 0.9}, "not an integer"),
         ("model_flat", base64.b64encode(flat[:-8]).decode(), "parameters"),
         ("example", {**good["example"], "y": []}, "one label"),
         ("example", {**good["example"], "y": [cfg.n_classes]}, "one label"),

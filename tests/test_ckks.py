@@ -1,5 +1,6 @@
 """End-to-end homomorphic pipeline: keygen, encrypt, add, scale, noise."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -16,6 +17,24 @@ def roundtrip(values, ctx, keys, seed=1):
     sk, pk = keys
     ct = ckks.encrypt(ckks.encode(values, ctx), pk, ctx, seed)
     return ckks.decode(ckks.decrypt(ct, sk, ctx), ctx)
+
+
+_Q0, _Q1, _Q2 = ckks.get_profile("test-small").modulus_chain
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"ring_dim": 1000}, "power of two"),
+    ({"ring_dim": 4096}, "not 1 mod 2N"),
+    ({"modulus_chain": (_Q0,)}, "at least two primes"),
+    ({"modulus_chain": (_Q0, _Q0)}, "distinct"),
+    ({"modulus_chain": (_Q0, _Q1 << 30, _Q2)}, "62-bit"),
+    ({"log2_scale": 0}, "scale must be positive"),
+    ({"log2_scale": 41}, "droppable prime budget"),
+], ids=["ring-dim", "prime-residue", "one-prime", "repeated-prime",
+        "wide-prime", "zero-scale", "wide-scale"])
+def test_params_reject_at_construction(change, message):
+    with pytest.raises(UsageError, match=message):
+        dataclasses.replace(ckks.get_profile("test-small"), **change)
 
 
 def test_keygen_deterministic(ctx_small):

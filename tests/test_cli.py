@@ -93,7 +93,8 @@ def test_attack_missing_capture_exits_io(tmp_path, capsys):
     assert code == EXIT_IO and "cannot read" in err
 
 
-def test_attack_non_finite_model_exits_numeric(tmp_path, capsys):
+def single_step_capture(tmp_path, capsys):
+    """Train one single-step round of one client; its capture's path."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "clients": 1, "rounds": 1, "batch_size": 1, "local_epochs": 1,
@@ -102,7 +103,11 @@ def test_attack_non_finite_model_exits_numeric(tmp_path, capsys):
     }))
     assert run(capsys, "train", "--config", str(cfg),
                "--out", str(tmp_path / "run"))[0] == 0
-    path = tmp_path / "run" / "capture_r1_c0.json"
+    return tmp_path / "run" / "capture_r1_c0.json"
+
+
+def test_attack_non_finite_model_exits_numeric(tmp_path, capsys):
+    path = single_step_capture(tmp_path, capsys)
     cap = json.loads(path.read_text())
     flat = np.frombuffer(base64.b64decode(cap["model_flat"]), dtype="<f8").copy()
     flat[0] = np.nan
@@ -112,6 +117,25 @@ def test_attack_non_finite_model_exits_numeric(tmp_path, capsys):
                        "--out", str(tmp_path / "atk"), "--iterations", "2",
                        "--restarts", "1")
     assert code == EXIT_NUMERIC and "non-finite values" in err
+
+
+def test_attack_non_finite_capture_fields_exit_numeric(tmp_path, capsys):
+    # a NaN pixel used to reach result.json as NaN, and a NaN visible
+    # value was blamed on the model's layer 'out'
+    path = single_step_capture(tmp_path, capsys)
+    good = path.read_text()
+    for group, key in (("example", "x"), ("visible", "values")):
+        cap = json.loads(good)
+        values = np.asarray(cap[group][key])
+        values.flat[0] = np.nan
+        cap[group][key] = values.tolist()
+        path.write_text(json.dumps(cap))
+        code, _, err = run(capsys, "attack", "--capture", str(path),
+                           "--out", str(tmp_path / "atk"),
+                           "--iterations", "2", "--restarts", "1")
+        assert code == EXIT_NUMERIC and f"{group}.{key}" in err, err
+        assert err.startswith("hefl attack: ") and err.count("\n") == 1
+        assert not (tmp_path / "atk").exists()
 
 
 def test_train_bad_config_exits_config(tmp_path, capsys):
@@ -207,3 +231,33 @@ def test_report_missing_run_exits_config(tmp_path, capsys):
         assert code == EXIT_CONFIG and "not a number" in err
         assert err.startswith("hefl report: ") and err.count("\n") == 1
         assert not (tmp_path / "rep").exists()
+
+
+def test_cifar_glob_skips_run_checkpoints(tmp_path, capsys, monkeypatch):
+    # "**/*.bin" also matches every run's checkpoint.bin below the working
+    # directory: a second run and a resume must still read only batches
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    (tmp_path / "data").mkdir()
+    for i in range(2):
+        records = rng.integers(0, 256, (24, 3073), dtype=np.uint8)
+        records[:, 0] %= 10
+        (tmp_path / "data" / f"batch_{i}.bin").write_bytes(records.tobytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dataset": "cifar10:**/*.bin", "arch": "linear", "clients": 2,
+        "rounds": 2, "batch_size": 4, "local_epochs": 1,
+        "calibration_batches": 1, "checkpoint_every": 1,
+    }))
+    for argv in (("--out", "runs/a"), ("--out", "runs/b"),
+                 ("--out", "runs/a", "--resume")):
+        code, _, err = run(capsys, "train", "--config", str(cfg), *argv)
+        assert code == 0, err
+
+    def rounds(run_dir):
+        lines = (tmp_path / run_dir / "records.jsonl").read_text()
+        return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+                for line in lines.splitlines()]
+
+    assert len(rounds("runs/a")) == 2
+    assert rounds("runs/a") == rounds("runs/b")

@@ -1,6 +1,10 @@
 """Sweep scoring and report emission."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,3 +120,22 @@ def test_emit_reports_validates_before_writing(tmp_path):
     with pytest.raises(ConfigError):
         emit_reports([summary(0.1), summary(0.1)], out)
     assert not out.exists()                 # nothing partially written
+
+
+def test_ratio_sweep_script_writes_runs_and_report(tmp_path):
+    """scripts/ratio_sweep.py trains one run per ratio, then reports."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, str(root / "scripts" / "ratio_sweep.py"),
+                    str(tmp_path), "--ratios", "0,0.1"],
+                   check=True, env=env, capture_output=True)
+    for run_dir in ("run_r0", "run_r0.1"):
+        assert (tmp_path / run_dir / "summary.json").is_file()
+        assert len((tmp_path / run_dir / "records.jsonl").read_text()
+                   .splitlines()) == 10
+    report = tmp_path / "report"
+    assert sorted(p.name for p in report.iterdir()) == [
+        "gap.csv", "per_round.csv", "radar.csv", "summary.json"]
+    rows = (report / "per_round.csv").read_text().splitlines()
+    assert len(rows) == 1 + 20

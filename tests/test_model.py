@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hefl.errors import NumericError, ParseError
-from hefl.model import (SgdState, build_model, evaluate, forward_backward,
-                        forward_logits, load_cifar10_batches,
-                        make_architecture, make_toy_dataset, partition_iid,
-                        sgd_step)
+from hefl.errors import NumericError, ParseError, UsageError
+from hefl.model import (Architecture, SgdState, build_model, evaluate,
+                        forward_backward, forward_logits,
+                        load_cifar10_batches, make_toy_dataset,
+                        partition_iid, sgd_step)
 from hefl.model.nets import ModelState, _sigmoid
 
 
@@ -24,7 +24,7 @@ def numeric_gradient(model, x, y, eps=1e-6):
 
 
 def test_mlp2_parameter_count():
-    arch = make_architecture("mlp2", (8, 8), 10)
+    arch = Architecture("mlp2", (8, 8), 10)
     model = build_model(arch, 0)
     # 64*64+64 + 64*32+32 + 32*10+10
     assert model.size == 6570
@@ -37,7 +37,7 @@ def test_mlp2_parameter_count():
     ("linear", (16,), "ce"),
 ])
 def test_gradcheck_finite_differences(name, shape, loss, rng):
-    arch = make_architecture(name, shape, 4)
+    arch = Architecture(name, shape, 4)
     model = build_model(arch, 3)
     x = rng.uniform(0, 1, (3, arch.input_size))
     y = np.array([0, 2, 1])
@@ -47,8 +47,21 @@ def test_gradcheck_finite_differences(name, shape, loss, rng):
     assert float(np.max(np.abs(grad - num))) / denom < 1e-4
 
 
+@pytest.mark.parametrize("name,shape,n_classes,message", [
+    ("resnet", (8, 8), 10, "unknown architecture"),
+    ("conv-s", (64,), 10, "2-d single-channel"),
+    ("conv-s", (5, 8), 10, "at least 6 pixels"),
+    ("conv-s", (9, 10), 10, "tile into 2x2 pools"),
+    ("mlp2", (8, 8), 1, "two classes"),
+], ids=["unknown", "conv-flat", "conv-small", "conv-odd", "one-class"])
+def test_architecture_rejects_at_construction(name, shape, n_classes,
+                                              message):
+    with pytest.raises(UsageError, match=message):
+        Architecture(name, shape, n_classes)
+
+
 def test_linear_softmax_closed_form(rng):
-    arch = make_architecture("linear", (6,), 3)
+    arch = Architecture("linear", (6,), 3)
     model = build_model(arch, 1)
     x = rng.uniform(-1, 1, (5, 6))
     y = np.array([0, 1, 2, 0, 1])
@@ -66,7 +79,7 @@ def test_linear_softmax_closed_form(rng):
 
 def test_conv_forward_matches_direct_correlation(rng):
     # valid 5x5 correlation by explicit slicing, sigmoid, 2x2 mean pool, head
-    arch = make_architecture("conv-s", (10, 12), 3)
+    arch = Architecture("conv-s", (10, 12), 3)
     model = build_model(arch, 5)
     x = rng.uniform(0, 1, (2, arch.input_size))
     wc = model.view(arch.slots["conv.weight"])
@@ -94,7 +107,7 @@ def test_conv_forward_matches_direct_correlation(rng):
 def test_nonfinite_gradient_names_first_bad_slab(rng):
     # an infinite pixel saturates fc1 to exactly 0 or 1, so the logits stay
     # finite while fc1's weight gradient multiplies a zero delta by inf
-    arch = make_architecture("mlp2", (4, 4), 3)
+    arch = Architecture("mlp2", (4, 4), 3)
     model = build_model(arch, 2)
     x = rng.uniform(0, 1, (2, arch.input_size))
     x[1, 5] = np.inf
@@ -114,7 +127,7 @@ def test_sigmoid_exact_at_extremes():
 
 
 def test_sgd_matches_hand_unrolled_recurrence(rng):
-    arch = make_architecture("linear", (4,), 2)
+    arch = Architecture("linear", (4,), 2)
     model = build_model(arch, 0)
     opt = SgdState(base_lr=0.1, momentum=0.9, weight_decay=0.01)
     w = model.flat.copy()
@@ -151,7 +164,7 @@ def test_toy_dataset_deterministic_and_split_disjoint():
 def test_toy_dataset_is_learnable():
     train = make_toy_dataset(512, 9, split=0)
     test = make_toy_dataset(128, 9, split=1)
-    arch = make_architecture("mlp2", train.input_shape, train.n_classes)
+    arch = Architecture("mlp2", train.input_shape, train.n_classes)
     model = build_model(arch, 9)
     opt = SgdState(base_lr=0.05, momentum=0.9)
     for epoch in range(20):

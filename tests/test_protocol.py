@@ -59,7 +59,7 @@ def test_config_precedence_and_unknown_keys():
     {"weight_decay": -0.1},
     {"lr_gamma": 0.0},
     {"lr_gamma": 2.0},
-    # caught while building the experiment, not by validate alone
+    # caught while building the experiment, not by FlConfig alone
     {"train_size": 0},
     {"test_size": 0},
     {"n_classes": 1},
@@ -86,6 +86,13 @@ def test_config_precedence_and_unknown_keys():
 def test_config_validation_rejects(patch):
     with pytest.raises(ConfigError):
         init_experiment(config_from_dict(patch))
+
+
+def test_config_rejects_at_construction():
+    with pytest.raises(ConfigError, match="encryption_ratio 1.5 outside"):
+        FlConfig(encryption_ratio=1.5)
+    with pytest.raises(ConfigError, match="clients must be an integer"):
+        FlConfig(clients="3")
 
 
 def test_config_types_accept_ints_for_floats():

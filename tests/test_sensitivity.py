@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hefl.errors import UsageError
-from hefl.model import build_model, forward_backward, make_architecture
+from hefl.model import Architecture, build_model, forward_backward
 from hefl.sensitivity import (SelectionMask, jacobian_map, magnitude_map,
                               select_top_r)
 
@@ -90,7 +90,7 @@ def test_magnitude_map_is_absolute_value(rng):
 
 
 def test_jacobian_map_is_mean_squared_gradient(rng):
-    arch = make_architecture("linear", (5,), 3)
+    arch = Architecture("linear", (5,), 3)
     model = build_model(arch, 4)
     batches = [(rng.uniform(0, 1, (4, 5)), rng.integers(0, 3, 4))
                for _ in range(3)]

@@ -1,5 +1,8 @@
 """Wire format: roundtrips, corruption detection, offset reporting."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,16 @@ def test_domain_byte_fixed_by_kind(ctx_small, keys_small, sample_ct):
             with pytest.raises(ParseError) as err:
                 load(bytes(bad), ctx_small)
             assert err.value.offset == 49
+
+
+@pytest.mark.parametrize("offset,value", [
+    (24, math.nan), (32, math.nan), (40, math.nan), (32, math.inf)])
+def test_non_finite_header_field_rejected(ctx_small, sample_ct, offset,
+                                          value):
+    # a NaN scale decodes to all-NaN slots, and a NaN noise estimate or
+    # value bound makes the noise budget NaN, which decrypt cannot refuse
+    blob = bytearray(ckks.serialize_ciphertext(sample_ct, ctx_small))
+    blob[offset:offset + 8] = struct.pack("<d", value)
+    with pytest.raises(ParseError, match="not finite") as err:
+        ckks.deserialize_ciphertext(bytes(blob), ctx_small)
+    assert err.value.offset == offset
