@@ -264,17 +264,24 @@ def load_capture(path: str | Path) -> dict:
             base64.b64decode(raw["model_flat"]), dtype="<f8").copy()
         model = ModelState(arch, flat)
         total = raw["mask"]["total"]
-        if type(total) is not int:  # not a bool, not a truncated float
-            raise ParseError(f"capture {path}: mask total {total!r} is not "
-                             "an integer", 0)
+        meta = {"round": raw["round"], "client_id": raw["client_id"],
+                "encryption_ratio": raw["mask"]["ratio"]}
+        for name, value in (("mask total", total), ("round", meta["round"]),
+                            ("client_id", meta["client_id"])):
+            if type(value) is not int or value < 0:  # not a bool or float
+                raise ParseError(f"capture {path}: {name} {value!r} is not "
+                                 "an integer >= 0", 0)
+        ratio = meta["encryption_ratio"]
+        if type(ratio) not in (int, float) or not 0 <= ratio <= 1:
+            raise ParseError(f"capture {path}: mask ratio {ratio!r} is not "
+                             "a number in [0, 1]", 0)
         visible = VisibleUpdate(
             np.asarray(raw["visible"]["indices"], dtype=np.int64),
             np.asarray(raw["visible"]["values"], dtype=np.float64), total)
         x = np.asarray(raw["example"]["x"], dtype=np.float64)
         y = np.asarray(raw["example"]["y"], dtype=np.int64)
-        meta = {"round": raw["round"], "client_id": raw["client_id"],
-                "encryption_ratio": raw["mask"]["ratio"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    # UsageError: the architecture rejected its name, shape or classes
+    except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise ParseError(f"capture {path} is malformed: {exc}", 0) from None
     size = arch.layout[-1].end
     idx = visible.indices

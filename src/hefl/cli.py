@@ -34,6 +34,18 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=80)
 
 
+def _seed(text: str) -> int:
+    """argparse type of the key, attack and bench seeds: [0, 2**63)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed {text!r} is not an integer") from None
+    if not 0 <= value < 2 ** 63:
+        raise argparse.ArgumentTypeError(f"seed {value} outside [0, 2**63)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hefl",
@@ -50,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "--out as secret.key and public.key.")
     p.add_argument("--ckks-profile", default="test-small",
                    help="parameter profile name (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="key generation seed (default: %(default)s)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_keygen)
@@ -85,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "plus reconstruction and target images to --out.")
     p.add_argument("--capture", required=True, help="capture JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="attack seed (default: %(default)s)")
     p.add_argument("--iterations", type=int, default=AttackConfig.iterations,
                    help="descent steps per restart (default: %(default)s)")
@@ -112,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter profile name (default: %(default)s)")
     p.add_argument("--repeats", type=int, default=5,
                    help="timings per operation (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="input vector seed (default: %(default)s)")
     p.add_argument("--out", help="also write the table as CSV to this file")
     p.set_defaults(func=cmd_bench)

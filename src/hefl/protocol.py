@@ -46,6 +46,8 @@ KEY_SEED_STREAM = 0x6B7365
 # Pseudo-gradient convention: the server applies the mean update with a
 # unit step, so the global model lands on the average of client models.
 GLOBAL_ETA = 1.0
+# Every client update is clipped coordinate-wise to [-CLIP, CLIP].
+CLIP = 8.0
 
 CHECKPOINT_MAGIC = "hefl-checkpoint"
 CHECKPOINT_FILE = "checkpoint.bin"
@@ -83,11 +85,6 @@ class FlConfig:
     dataset: str = "toy"
     arch: str = "mlp2"
     lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 4e-4
-    lr_step_rounds: int = 10
-    lr_gamma: float = 0.1
-    clip: float = 8.0
     train_size: int = 1536
     test_size: int = 512
     n_classes: int = 10
@@ -114,18 +111,8 @@ class FlConfig:
                 f"unknown sensitivity_method {self.sensitivity_method!r}")
         if self.local_epochs < 1 or self.batch_size < 1:
             raise ConfigError("local_epochs and batch_size must be positive")
-        if self.lr <= 0 or self.clip <= 0:
-            raise ConfigError("lr and clip must be positive")
-        if self.lr_step_rounds < 1 or self.checkpoint_every < 1:
-            raise ConfigError(
-                "lr_step_rounds and checkpoint_every must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum {self.momentum} outside [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ConfigError(
-                f"weight_decay {self.weight_decay} must be non-negative")
-        if not 0.0 < self.lr_gamma <= 1.0:
-            raise ConfigError(f"lr_gamma {self.lr_gamma} outside (0, 1]")
+        if self.lr <= 0 or self.checkpoint_every < 1:
+            raise ConfigError("lr and checkpoint_every must be positive")
         if self.arch not in HIDDEN_WIDTHS:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.dataset != "toy" and not self.dataset.startswith("cifar10:"):
@@ -323,10 +310,7 @@ def local_update_vector(state: ExperimentState,
     else:
         rng = _client_rng(state, client_id, rnd)
         local = ModelState(state.arch, state.model.flat.copy())
-        opt = SgdState(base_lr=cfg.lr, momentum=cfg.momentum,
-                       weight_decay=cfg.weight_decay,
-                       step_size=cfg.lr_step_rounds, gamma=cfg.lr_gamma,
-                       epoch=state.round_index)
+        opt = SgdState(base_lr=cfg.lr, epoch=state.round_index)
         local_loss = 0.0
         steps = 0
         for _ in range(cfg.local_epochs):
@@ -340,7 +324,7 @@ def local_update_vector(state: ExperimentState,
                 steps += 1
         local_loss /= max(steps, 1)
         update = (state.model.flat - local.flat) / GLOBAL_ETA
-    return np.clip(update, -cfg.clip, cfg.clip), float(local_loss)
+    return np.clip(update, -CLIP, CLIP), float(local_loss)
 
 
 def single_step_batch(state: ExperimentState,

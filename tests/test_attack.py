@@ -245,6 +245,11 @@ def test_load_capture_rejects_malformed(tmp_path):
         ("example", {**good["example"], "y": []}, "one label"),
         ("example", {**good["example"], "y": [cfg.n_classes]}, "one label"),
         ("round", None, "malformed"),
+        ("round", "x", "round 'x' is not an integer"),
+        ("client_id", -1, "client_id -1 is not an integer"),
+        ("mask", {**mask, "ratio": "abc"}, "not a number in"),
+        ("arch", {**good["arch"], "name": "bogus"}, "malformed.*bogus"),
+        ("arch", {**good["arch"], "n_classes": 1}, "malformed"),
     ]
     for key, value, match in cases:
         cap = {k: v for k, v in good.items() if k != key}

@@ -26,10 +26,16 @@ def test_help_shows_subcommands(capsys):
     assert all(len(line) <= 80 for line in out.splitlines())
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE                  # command required
     assert run(capsys, "keygen")[0] == EXIT_USAGE        # --out required
+    for argv in (("keygen", "--out", str(tmp_path / "k")), ("bench",),
+                 ("attack", "--capture", str(tmp_path / "c.json"),
+                  "--out", str(tmp_path / "a"))):
+        for seed in ("-1", str(2 ** 63), "x"):
+            code, _, err = run(capsys, *argv, "--seed", seed)
+            assert code == EXIT_USAGE and "--seed" in err
 
 
 def test_keygen_writes_deterministic_keys(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hefl.model import (Architecture, SgdState, build_model, evaluate,
                         load_cifar10_batches, make_toy_dataset,
                         partition_iid, sgd_step)
 from hefl.model.nets import ModelState, _sigmoid
+from hefl.model.optim import MOMENTUM, WEIGHT_DECAY
 
 
 def numeric_gradient(model, x, y, eps=1e-6):
@@ -129,19 +130,19 @@ def test_sigmoid_exact_at_extremes():
 def test_sgd_matches_hand_unrolled_recurrence(rng):
     arch = Architecture("linear", (4,), 2)
     model = build_model(arch, 0)
-    opt = SgdState(base_lr=0.1, momentum=0.9, weight_decay=0.01)
+    opt = SgdState(base_lr=0.1)
     w = model.flat.copy()
     v = np.zeros_like(w)
     for step in range(5):
         g = rng.normal(size=w.size)
         model = sgd_step(model, g, opt)
-        v = 0.9 * v + (g + 0.01 * w)
+        v = MOMENTUM * v + (g + WEIGHT_DECAY * w)
         w = w - 0.1 * v
         assert np.allclose(model.flat, w, atol=1e-15)
 
 
 def test_step_lr_schedule_values():
-    opt = SgdState(base_lr=0.01, step_size=10, gamma=0.1)
+    opt = SgdState(base_lr=0.01)
     lrs = []
     for _ in range(25):
         lrs.append(opt.lr)
@@ -166,7 +167,7 @@ def test_toy_dataset_is_learnable():
     test = make_toy_dataset(128, 9, split=1)
     arch = Architecture("mlp2", train.input_shape, train.n_classes)
     model = build_model(arch, 9)
-    opt = SgdState(base_lr=0.05, momentum=0.9)
+    opt = SgdState(base_lr=0.05)
     for epoch in range(20):
         order = np.random.default_rng(epoch).permutation(len(train))
         for s in range(0, len(train), 16):

@@ -53,12 +53,13 @@ def test_config_precedence_and_unknown_keys():
     {"dataset": "imagenet"},
     {"lr": 0.0},
     {"checkpoint_every": 0},
-    {"lr_step_rounds": 0},
-    {"momentum": -1.0},
-    {"momentum": 1.0},
-    {"weight_decay": -0.1},
-    {"lr_gamma": 0.0},
-    {"lr_gamma": 2.0},
+    {"local_epochs": 0},
+    # the SGD recipe and the clip are constants, not config keys
+    {"momentum": 0.9},
+    {"weight_decay": 4e-4},
+    {"lr_step_rounds": 10},
+    {"lr_gamma": 0.1},
+    {"clip": 8.0},
     # caught while building the experiment, not by FlConfig alone
     {"train_size": 0},
     {"test_size": 0},
@@ -151,6 +152,14 @@ def test_encrypted_aggregation_tracks_plaintext_mean():
     # off-mask coordinates take the plaintext path and stay exact
     assert np.array_equal(agg[mask.complement()],
                           expected[mask.complement()])
+
+
+def test_update_clip_binds():
+    # a very large lr drives the local model far from the global one
+    state = init_experiment(tiny_cfg(lr=100.0))
+    update, _ = local_update_vector(state, 0)
+    assert np.abs(update).max() <= protocol.CLIP
+    assert np.any(np.abs(update) == protocol.CLIP)
 
 
 def test_first_round_mask_scores_global_weights():
@@ -336,8 +345,7 @@ def test_resume_guards(tmp_path):
 def test_resume_requires_matching_records(tmp_path):
     cfg = tiny_cfg(rounds=3, checkpoint_every=2)
     state = init_experiment(cfg)
-    run_round(state)
-    run_round(state)
+    kept = [run_round(state)[0].to_json() for _ in range(2)]
     save_checkpoint(tmp_path / "checkpoint.bin", state)
     records = tmp_path / "records.jsonl"
     records.write_text("")                          # lost the round records
@@ -346,9 +354,15 @@ def test_resume_requires_matching_records(tmp_path):
     records.unlink()                                # or the whole file
     with pytest.raises(ConfigError, match="fewer rounds"):
         run_experiment(cfg, tmp_path, resume=True)
-    for lines in ("x\n{}\n", '{"wall_ms": {}}\n{"wall_ms": 1}\n'):
-        records.write_text(lines)                   # or lines that are no rounds
-        with pytest.raises(ConfigError, match="not a round record"):
+    no_wall = json.loads(kept[0])
+    del no_wall["wall_ms"]
+    for lines, bad in (([kept[0], "x"], 2),       # or lines that are no rounds
+                       ([json.dumps(no_wall), kept[1]], 1),
+                       (['{"wall_ms": {}}', kept[1]], 1),
+                       ([kept[0], '{"wall_ms": 1}'], 2)):
+        records.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ConfigError,
+                           match=f"round {bad} is not a round record"):
             run_experiment(cfg, tmp_path, resume=True)
 
 
