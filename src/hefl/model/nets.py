@@ -50,6 +50,14 @@ class Architecture:
     def __post_init__(self) -> None:
         if self.name not in HIDDEN_WIDTHS:
             raise UsageError(f"unknown architecture {self.name!r}")
+        # type() is int also rejects bools and integral floats like 8.0
+        if not all(type(side) is int and side >= 1
+                   for side in self.input_shape):
+            raise UsageError("input sides must be positive integers, got "
+                             f"{list(self.input_shape)}")
+        if type(self.n_classes) is not int or self.n_classes < 2:
+            raise UsageError("need an integer of at least two classes, "
+                             f"got {self.n_classes!r}")
         if self.name == "conv-s":
             if len(self.input_shape) != 2:
                 raise UsageError("conv-s expects a 2-d single-channel input")
@@ -59,8 +67,6 @@ class Architecture:
             if any((side - _CONV_KERNEL + 1) % _POOL
                    for side in self.input_shape):
                 raise UsageError("conv-s output must tile into 2x2 pools")
-        if self.n_classes < 2:
-            raise UsageError("need at least two classes")
 
     @cached_property
     def input_size(self) -> int:

@@ -48,6 +48,10 @@ KEY_SEED_STREAM = 0x6B7365
 GLOBAL_ETA = 1.0
 # Every client update is clipped coordinate-wise to [-CLIP, CLIP].
 CLIP = 8.0
+# Local SGD passes over a client's shard per round.
+LOCAL_EPOCHS = 2
+# A checkpoint follows every CHECKPOINT_EVERY-th round and the last one.
+CHECKPOINT_EVERY = 5
 
 CHECKPOINT_MAGIC = "hefl-checkpoint"
 CHECKPOINT_FILE = "checkpoint.bin"
@@ -56,19 +60,16 @@ _CHECKPOINT_KEYS = {"config_digest", "layout", "param_count",
 _STAGES = ("train", "encrypt", "aggregate_he", "aggregate_plain", "decrypt")
 # what a config field must hold, keyed by the type of its default
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number",
-          str: "a string", tuple: "a list of integers"}
+          str: "a string"}
 
 
 def _has_kind(value, kind: type) -> bool:
     """True when value fits a field of that kind: only bool fields take
-    bools, float fields also take ints, tuples hold ints."""
+    bools, float fields also take ints."""
     if isinstance(value, bool) != (kind is bool):
         return False
     if kind is float:
         return isinstance(value, (int, float)) and math.isfinite(value)
-    if kind is tuple:
-        return isinstance(value, tuple) and all(_has_kind(v, int)
-                                                for v in value)
     return isinstance(value, kind)
 
 
@@ -78,7 +79,6 @@ class FlConfig:
     rounds: int = 10
     encryption_ratio: float = 0.1
     sensitivity_method: str = "magnitude"
-    local_epochs: int = 2
     batch_size: int = 8
     ckks_profile: str = "test-small"
     seed: int = 0
@@ -87,9 +87,6 @@ class FlConfig:
     lr: float = 0.05
     train_size: int = 1536
     test_size: int = 512
-    n_classes: int = 10
-    input_shape: tuple[int, ...] = (8, 8)
-    checkpoint_every: int = 5
     single_step: bool = False
     calibration_batches: int = 2
 
@@ -109,18 +106,12 @@ class FlConfig:
         if self.sensitivity_method not in ("magnitude", "jacobian"):
             raise ConfigError(
                 f"unknown sensitivity_method {self.sensitivity_method!r}")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ConfigError("local_epochs and batch_size must be positive")
-        if self.lr <= 0 or self.checkpoint_every < 1:
-            raise ConfigError("lr and checkpoint_every must be positive")
+        if self.batch_size < 1 or self.lr <= 0:
+            raise ConfigError("batch_size and lr must be positive")
         if self.arch not in HIDDEN_WIDTHS:
             raise ConfigError(f"unknown arch {self.arch!r}")
         if self.dataset != "toy" and not self.dataset.startswith("cifar10:"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
-        if self.dataset == "toy" and (len(self.input_shape) != 2
-                                      or min(self.input_shape) < 1):
-            raise ConfigError("the toy input_shape needs two positive "
-                              f"dimensions, got {list(self.input_shape)}")
         if self.calibration_batches < 1:
             raise ConfigError("calibration_batches must be positive")
         if not 0 <= self.seed < 2 ** 63:
@@ -145,8 +136,6 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> FlConfig:
     unknown = set(merged) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if isinstance(merged.get("input_shape"), list):
-        merged["input_shape"] = tuple(merged["input_shape"])
     try:
         return FlConfig(**merged)
     except TypeError as exc:
@@ -218,13 +207,9 @@ class ExperimentState:
 def _load_dataset(cfg: FlConfig) -> tuple[Dataset, Dataset, Dataset]:
     n_calib = cfg.calibration_batches * cfg.batch_size
     if cfg.dataset == "toy":
-        train = make_toy_dataset(cfg.train_size, cfg.seed, cfg.n_classes,
-                                 cfg.input_shape, split=0)
-        test = make_toy_dataset(cfg.test_size, cfg.seed, cfg.n_classes,
-                                cfg.input_shape, split=1)
-        calib = make_toy_dataset(n_calib, cfg.seed, cfg.n_classes,
-                                 cfg.input_shape, split=2)
-        return train, test, calib
+        return (make_toy_dataset(cfg.train_size, cfg.seed, split=0),
+                make_toy_dataset(cfg.test_size, cfg.seed, split=1),
+                make_toy_dataset(n_calib, cfg.seed, split=2))
     pattern = cfg.dataset.split(":", 1)[1]
     # the checkpoint is the one binary file a run writes; a pattern broad
     # enough to reach run directories must not read it as a batch file
@@ -248,10 +233,7 @@ def _load_dataset(cfg: FlConfig) -> tuple[Dataset, Dataset, Dataset]:
 def init_experiment(cfg: FlConfig) -> ExperimentState:
     try:
         train, test, calib = _load_dataset(cfg)
-        shape = train.input_shape
-        if cfg.dataset != "toy" and cfg.arch != "conv-s":
-            shape = (math.prod(shape),)
-        arch = Architecture(cfg.arch, shape, train.n_classes)
+        arch = Architecture(cfg.arch, train.input_shape, train.n_classes)
         model = build_model(arch, cfg.seed)
         shards = partition_iid(train, cfg.clients, cfg.seed)
     except UsageError as exc:
@@ -313,7 +295,7 @@ def local_update_vector(state: ExperimentState,
         opt = SgdState(base_lr=cfg.lr, epoch=state.round_index)
         local_loss = 0.0
         steps = 0
-        for _ in range(cfg.local_epochs):
+        for _ in range(LOCAL_EPOCHS):
             order = rng.permutation(len(shard))
             for s in range(0, len(shard), cfg.batch_size):
                 sel = order[s:s + cfg.batch_size]
@@ -579,10 +561,14 @@ def _kept_wall_ms(line: str, round_index: int) -> dict[str, float]:
     """Per-stage wall times of a round record kept across a resume."""
     try:
         wall = json.loads(line)["wall_ms"]
-        return {name: float(wall[name]) for name in _STAGES}
+        # a finite number per stage: float() would also take "nan" and
+        # true, and a NaN total makes summary.json invalid strict JSON
+        if all(_has_kind(wall[name], float) for name in _STAGES):
+            return {name: float(wall[name]) for name in _STAGES}
     except (KeyError, TypeError, ValueError):  # JSONDecodeError included
-        raise ConfigError(f"records.jsonl round {round_index} is not a "
-                          "round record") from None
+        pass
+    raise ConfigError(f"records.jsonl round {round_index} is not a "
+                      "round record")
 
 
 def run_experiment(cfg: FlConfig, out_dir: str | Path,
@@ -619,7 +605,7 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
             for u in updates:
                 write_capture(out / f"capture_r1_c{u.client_id}.json",
                               state, u, mask, pre_round.flat)
-        if (record.round_index % cfg.checkpoint_every == 0
+        if (record.round_index % CHECKPOINT_EVERY == 0
                 or record.round_index == cfg.rounds):
             save_checkpoint(ckpt_path, state)
 

@@ -245,8 +245,7 @@ def test_criterion_7_determinism(acceptance_log, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "clients": 3, "rounds": 3, "encryption_ratio": 0.1, "seed": 1,
-        "train_size": 192, "test_size": 64, "local_epochs": 1,
-        "checkpoint_every": 3, "calibration_batches": 1}))
+        "train_size": 192, "test_size": 64, "calibration_batches": 1}))
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name

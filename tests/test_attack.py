@@ -184,7 +184,7 @@ def test_attack_rejects_wrong_target_size(small_setup):
 def test_visible_view_matches_protocol_complement():
     cfg = protocol.config_from_dict(dict(
         clients=2, rounds=1, encryption_ratio=0.4, batch_size=1,
-        local_epochs=1, train_size=32, test_size=16, seed=3,
+        train_size=32, test_size=16, seed=3,
         single_step=True, calibration_batches=1))
     state = protocol.init_experiment(cfg)
     mask = protocol.round_mask(state)
@@ -199,7 +199,7 @@ def test_visible_view_matches_protocol_complement():
 def test_capture_roundtrip_and_attack(tmp_path):
     cfg = protocol.config_from_dict(dict(
         clients=2, rounds=1, encryption_ratio=0.5, batch_size=1,
-        local_epochs=1, train_size=32, test_size=16, seed=3,
+        train_size=32, test_size=16, seed=3,
         single_step=True, calibration_batches=1))
     protocol.run_experiment(cfg, tmp_path)
     cap = load_capture(tmp_path / "capture_r1_c0.json")
@@ -225,7 +225,7 @@ def test_load_capture_rejects_malformed(tmp_path):
     # fields that parse but disagree with each other or the architecture
     cfg = protocol.config_from_dict(dict(
         clients=1, rounds=1, encryption_ratio=0.5, batch_size=1,
-        local_epochs=1, train_size=16, test_size=16, seed=3,
+        train_size=16, test_size=16, seed=3,
         single_step=True, calibration_batches=1))
     protocol.run_experiment(cfg, tmp_path / "run")
     good = json.loads((tmp_path / "run" / "capture_r1_c0.json").read_text())
@@ -243,13 +243,17 @@ def test_load_capture_rejects_malformed(tmp_path):
         ("mask", {**mask, "total": mask["total"] + 0.9}, "not an integer"),
         ("model_flat", base64.b64encode(flat[:-8]).decode(), "parameters"),
         ("example", {**good["example"], "y": []}, "one label"),
-        ("example", {**good["example"], "y": [cfg.n_classes]}, "one label"),
+        ("example", {**good["example"], "y": [good["arch"]["n_classes"]]},
+         "one label"),
         ("round", None, "malformed"),
         ("round", "x", "round 'x' is not an integer"),
         ("client_id", -1, "client_id -1 is not an integer"),
         ("mask", {**mask, "ratio": "abc"}, "not a number in"),
         ("arch", {**good["arch"], "name": "bogus"}, "malformed.*bogus"),
         ("arch", {**good["arch"], "n_classes": 1}, "malformed"),
+        # integral floats used to load and fail later with a TypeError
+        ("arch", {**good["arch"], "input_shape": [8.0, 8.0]}, "malformed"),
+        ("arch", {**good["arch"], "n_classes": 10.0}, "malformed"),
     ]
     for key, value, match in cases:
         cap = {k: v for k, v in good.items() if k != key}

@@ -76,7 +76,7 @@ def test_bench_rejects_zero_repeats(capsys):
 def test_attack_rejects_zero_restarts(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "clients": 1, "rounds": 1, "batch_size": 1, "local_epochs": 1,
+        "clients": 1, "rounds": 1, "batch_size": 1,
         "train_size": 16, "test_size": 16, "single_step": True,
         "calibration_batches": 1,
     }))
@@ -103,7 +103,7 @@ def single_step_capture(tmp_path, capsys):
     """Train one single-step round of one client; its capture's path."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "clients": 1, "rounds": 1, "batch_size": 1, "local_epochs": 1,
+        "clients": 1, "rounds": 1, "batch_size": 1,
         "train_size": 16, "test_size": 16, "single_step": True,
         "calibration_batches": 1,
     }))
@@ -164,9 +164,9 @@ def test_train_bad_config_exits_config(tmp_path, capsys):
 def test_full_flow_train_attack_report(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "clients": 2, "rounds": 1, "batch_size": 1, "local_epochs": 1,
+        "clients": 2, "rounds": 1, "batch_size": 1,
         "train_size": 32, "test_size": 16, "single_step": True,
-        "calibration_batches": 1, "checkpoint_every": 1,
+        "calibration_batches": 1,
     }))
     runs = []
     for ratio in ("0.0", "0.5"):
@@ -252,8 +252,7 @@ def test_cifar_glob_skips_run_checkpoints(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "dataset": "cifar10:**/*.bin", "arch": "linear", "clients": 2,
-        "rounds": 2, "batch_size": 4, "local_epochs": 1,
-        "calibration_batches": 1, "checkpoint_every": 1,
+        "rounds": 2, "batch_size": 4, "calibration_batches": 1,
     }))
     for argv in (("--out", "runs/a"), ("--out", "runs/b"),
                  ("--out", "runs/a", "--resume")):

@@ -54,7 +54,11 @@ def test_gradcheck_finite_differences(name, shape, loss, rng):
     ("conv-s", (5, 8), 10, "at least 6 pixels"),
     ("conv-s", (9, 10), 10, "tile into 2x2 pools"),
     ("mlp2", (8, 8), 1, "two classes"),
-], ids=["unknown", "conv-flat", "conv-small", "conv-odd", "one-class"])
+    ("mlp2", (8.0, 8), 10, "positive integers"),
+    ("mlp2", (0, 8), 10, "positive integers"),
+    ("mlp2", (8, 8), 10.0, "two classes"),
+], ids=["unknown", "conv-flat", "conv-small", "conv-odd", "one-class",
+        "float-side", "zero-side", "float-classes"])
 def test_architecture_rejects_at_construction(name, shape, n_classes,
                                               message):
     with pytest.raises(UsageError, match=message):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from hefl.protocol import (FlConfig, aggregate, config_from_dict,
 
 def tiny_cfg(**kw):
     base = dict(clients=3, rounds=2, encryption_ratio=0.1, batch_size=8,
-                local_epochs=1, train_size=96, test_size=48, seed=5,
-                checkpoint_every=2, calibration_batches=1)
+                train_size=96, test_size=48, seed=5, calibration_batches=1)
     base.update(kw)
     return config_from_dict(base)
 
@@ -28,6 +28,18 @@ def strip_timing(line: str) -> dict:
     body = json.loads(line)
     body.pop("wall_ms")
     return body
+
+
+def untimed(run_dir) -> dict:
+    """A run's summary without its wall times."""
+    summary = json.loads((run_dir / "summary.json").read_text())
+    return {k: v for k, v in summary.items()
+            if k not in ("stage_totals_ms", "total_wall_ms")}
+
+
+def untimed_records(run_dir) -> list[dict]:
+    lines = (run_dir / "records.jsonl").read_text().splitlines()
+    return [strip_timing(line) for line in lines]
 
 
 # ---- configuration ----------------------------------------------------------
@@ -52,27 +64,28 @@ def test_config_precedence_and_unknown_keys():
     {"arch": "resnet"},
     {"dataset": "imagenet"},
     {"lr": 0.0},
-    {"checkpoint_every": 0},
-    {"local_epochs": 0},
-    # the SGD recipe and the clip are constants, not config keys
+    {"batch_size": 0},
+    {"encryption_ratio": -0.1},
+    # the SGD recipe, the clip, the local epochs, the checkpoint spacing
+    # and the toy task's shape and classes are constants, not config keys
     {"momentum": 0.9},
     {"weight_decay": 4e-4},
     {"lr_step_rounds": 10},
     {"lr_gamma": 0.1},
     {"clip": 8.0},
+    {"local_epochs": 2},
+    {"checkpoint_every": 5},
+    {"n_classes": 10},
+    {"input_shape": [8, 8]},
     # caught while building the experiment, not by FlConfig alone
     {"train_size": 0},
     {"test_size": 0},
-    {"n_classes": 1},
-    {"arch": "conv-s", "input_shape": [3, 3]},
-    {"arch": "conv-s", "input_shape": [9, 9]},
     {"clients": 2000},
     {"dataset": "cifar10:/nonexistent-hefl-data/*.bin"},
-    # wrong shape or type
-    {"input_shape": [4, 4, 4]},
-    {"input_shape": [0, 8]},
-    {"input_shape": 8},
-    {"input_shape": [8, "8"]},
+    # wrong type
+    {"seed": 1.0},
+    {"sensitivity_method": None},
+    {"lr": float("inf")},
     {"batch_size": 1.5},
     {"clients": "3"},
     {"rounds": 1.5},
@@ -105,10 +118,9 @@ def test_config_digest_tracks_content(tmp_path):
     assert tiny_cfg().digest() == tiny_cfg().digest()
     assert tiny_cfg().digest() != tiny_cfg(seed=6).digest()
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"rounds": 2, "input_shape": [8, 8]}))
+    p.write_text(json.dumps({"rounds": 2}))
     cfg = load_config(p, {"seed": 9})
     assert cfg.rounds == 2 and cfg.seed == 9
-    assert cfg.input_shape == (8, 8)
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     with pytest.raises(ConfigError, match="not valid JSON"):
@@ -235,7 +247,7 @@ def test_run_experiment_deterministic(tmp_path):
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
-    cfg = tiny_cfg(rounds=4, checkpoint_every=2, encryption_ratio=0.1)
+    cfg = tiny_cfg(rounds=4, encryption_ratio=0.1)
     run_experiment(cfg, tmp_path / "full")
 
     # simulate a crash after round 2: records + checkpoint exist, rounds 3-4 lost
@@ -250,15 +262,8 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     save_checkpoint(part / "checkpoint.bin", state)
     run_experiment(cfg, part, resume=True)
 
-    full = (tmp_path / "full" / "records.jsonl").read_text().splitlines()
-    resumed = (part / "records.jsonl").read_text().splitlines()
-    assert len(resumed) == 4
-    assert [strip_timing(x) for x in full] == [strip_timing(x) for x in resumed]
-
-    def untimed(run_dir):
-        summary = json.loads((run_dir / "summary.json").read_text())
-        return {k: v for k, v in summary.items()
-                if k not in ("stage_totals_ms", "total_wall_ms")}
+    assert len(untimed_records(part)) == 4
+    assert untimed_records(part) == untimed_records(tmp_path / "full")
 
     assert {"final_train_accuracy", "final_test_accuracy",
             "final_train_loss"} <= untimed(part).keys()
@@ -289,6 +294,34 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (tmp_path / "full" / "records.jsonl").read_text()
 
 
+@pytest.mark.parametrize("arch,method", [("conv-s", "magnitude"),
+                                         ("linear", "jacobian")])
+def test_every_architecture_trains_and_resumes(tmp_path, arch, method):
+    # mlp2 runs through the protocol everywhere else; these are the
+    # other two architectures on the toy task's 8x8 images
+    cfg = tiny_cfg(arch=arch, sensitivity_method=method,
+                   encryption_ratio=0.1)
+    run_experiment(cfg, tmp_path / "fresh")
+    done = tmp_path / "done"
+    done.mkdir()
+    for name in ("records.jsonl", "checkpoint.bin"):
+        (done / name).write_bytes((tmp_path / "fresh" / name).read_bytes())
+    run_experiment(cfg, done, resume=True)
+    assert len(untimed_records(done)) == 2
+    assert untimed_records(done) == untimed_records(tmp_path / "fresh")
+    assert untimed(done) == untimed(tmp_path / "fresh")
+
+
+def test_shipped_configs_load():
+    # cifar10-full.json loads without its data: init_experiment is the
+    # first step that reads the dataset glob
+    paths = sorted((Path(__file__).resolve().parent.parent
+                    / "configs").glob("*.json"))
+    assert len(paths) >= 3
+    for path in paths:
+        load_config(path)
+
+
 def test_run_experiment_calls_round_and_client_by_name(tmp_path, monkeypatch):
     # the benchmark times rounds and client uploads by patching these two
     # module attributes, so run_experiment must look them up per call
@@ -306,10 +339,10 @@ def test_run_experiment_calls_round_and_client_by_name(tmp_path, monkeypatch):
 
 
 def test_resume_guards(tmp_path):
-    cfg = tiny_cfg(rounds=2, checkpoint_every=1)
+    cfg = tiny_cfg(rounds=2)
     run_experiment(cfg, tmp_path)
     with pytest.raises(ConfigError, match="different configuration"):
-        state = init_experiment(tiny_cfg(rounds=2, checkpoint_every=1, seed=6))
+        state = init_experiment(tiny_cfg(rounds=2, seed=6))
         load_checkpoint(tmp_path / "checkpoint.bin", state)
     raw = (tmp_path / "checkpoint.bin").read_bytes()
     (tmp_path / "checkpoint.bin").write_bytes(raw[:-8])
@@ -343,7 +376,7 @@ def test_resume_guards(tmp_path):
 
 
 def test_resume_requires_matching_records(tmp_path):
-    cfg = tiny_cfg(rounds=3, checkpoint_every=2)
+    cfg = tiny_cfg(rounds=3)
     state = init_experiment(cfg)
     kept = [run_round(state)[0].to_json() for _ in range(2)]
     save_checkpoint(tmp_path / "checkpoint.bin", state)
@@ -356,10 +389,20 @@ def test_resume_requires_matching_records(tmp_path):
         run_experiment(cfg, tmp_path, resume=True)
     no_wall = json.loads(kept[0])
     del no_wall["wall_ms"]
+
+    def with_train(value) -> str:
+        body = json.loads(kept[1])
+        body["wall_ms"]["train"] = value
+        return json.dumps(body)               # float("nan") dumps as NaN
+
     for lines, bad in (([kept[0], "x"], 2),       # or lines that are no rounds
                        ([json.dumps(no_wall), kept[1]], 1),
                        (['{"wall_ms": {}}', kept[1]], 1),
-                       ([kept[0], '{"wall_ms": 1}'], 2)):
+                       ([kept[0], '{"wall_ms": 1}'], 2),
+                       # stage times that float() would have coerced
+                       ([kept[0], with_train("nan")], 2),
+                       ([kept[0], with_train(True)], 2),
+                       ([kept[0], with_train(float("nan"))], 2)):
         records.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ConfigError,
                            match=f"round {bad} is not a round record"):
