@@ -1,7 +1,7 @@
 """Federated learning with selectively encrypted gradients.
 
 Layers, bottom up: `ckks` (leveled approximate homomorphic encryption
-over RNS/NTT arithmetic), `model` (small dense/conv nets with manual
+over RNS/NTT arithmetic), `model` (small dense nets with manual
 backprop), `sensitivity` (which coordinates deserve encryption),
 `protocol` (the federated rounds), `attack` (gradient inversion
 against the plaintext share), `metrics` (cross-run comparison), and

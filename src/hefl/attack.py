@@ -120,8 +120,6 @@ def infer_label(visible: VisibleUpdate, arch: Architecture) -> int | None:
 def gradient_objective(model: ModelState, x: np.ndarray, label: int,
                        visible: VisibleUpdate) -> float:
     """Sum of squared gaps on the visible gradient coordinates."""
-    if visible.count == 0:
-        return 0.0
     y = np.array([label], dtype=np.int64)
     _, grad = forward_backward(model, x[None], y)
     gap = grad[visible.indices] - visible.values
@@ -133,11 +131,12 @@ def _probe_objectives(model: ModelState, xs: np.ndarray, label: int,
     """`gradient_objective` of every row of xs, in one batched pass.
 
     Works from each row's uncontracted error terms, so no per-example
-    gradient vector is built except conv-s's small conv kernel.  With
-    M the visibility mask and V the visible values (zero off the mask)
-    of a weight slab whose per-example gradient is the outer product
-    of delta and a, the squared gap is
+    weight gradient is built.  With M the visibility mask and V the
+    visible values (zero off the mask) of a weight slab whose
+    per-example gradient is the outer product of delta and a, the
+    squared gap is
     rowsum((delta^2 @ M) * a^2) - 2 rowsum((delta @ V) * a) + |V|^2.
+    A bias slab's per-example gradient is delta itself.
     """
     seen = np.zeros(visible.total)
     seen[visible.indices] = 1.0
@@ -148,18 +147,15 @@ def _probe_objectives(model: ModelState, xs: np.ndarray, label: int,
     for slot, delta, a in example_terms(model, xs, y):
         m = seen[slot.start:slot.end]
         v = want[slot.start:slot.end]
-        if a is not None and delta.ndim == 2:        # outer-product slab
+        if a is None:                                # bias slab
+            gap = delta - v
+            out += (gap * gap) @ m
+        else:                                        # outer-product slab
             m = m.reshape(slot.shape)
             v = v.reshape(slot.shape)
             out += np.einsum("bj,bj->b", (delta * delta) @ m, a * a)
             out -= 2.0 * np.einsum("bj,bj->b", delta @ v, a)
             out += np.dot(v.ravel(), v.ravel())
-        else:                                        # bias or conv kernel
-            grad = (delta.sum(axis=tuple(range(1, delta.ndim - 1)))
-                    if a is None else
-                    np.einsum("bpc,bpk->bck", delta, a).reshape(len(xs), -1))
-            gap = grad - v
-            out += (gap * gap) @ m
     return out
 
 
@@ -189,8 +185,6 @@ def reconstruct(model: ModelState, visible: VisibleUpdate, label: int,
     best_obj = math.inf
     for _ in range(cfg.restarts):
         init = rng.uniform(0.0, 1.0, size=size)
-        if visible.count == 0:
-            return init, 0.0, init.copy()
         x = init.copy()
         m = np.zeros_like(x)
         v = np.zeros_like(x)

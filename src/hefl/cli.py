@@ -16,6 +16,7 @@ import json
 import statistics
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +189,13 @@ def cmd_attack(args: argparse.Namespace) -> None:
 
 def cmd_report(args: argparse.Namespace) -> None:
     summaries = [load_run(run_dir) for run_dir in args.runs]
-    emit_reports(summaries, args.out)
+    # each warning (a tied axis) is one plain stderr line, not Python's
+    # path-and-source-line format
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        emit_reports(summaries, args.out)
+    for w in caught:
+        print(f"hefl report: {w.message}", file=sys.stderr)
     print(f"report over {len(summaries)} runs -> {args.out}")
 
 

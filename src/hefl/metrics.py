@@ -10,10 +10,10 @@ each run on four axes:
 
 For the three normalized axes, the best run in the sweep scores 1 and
 the worst scores 0; when every run ties, the axis is uninformative and
-all runs score 1 (with a warning).  Output files are CSV (RFC 4180,
-CRLF line endings, six-decimal floats) plus one JSON summary.  Nothing
-here embeds timestamps, so reruns of a deterministic sweep reproduce
-every non-timing byte.
+all runs score 1 (with a warning that names the axis).  Output files
+are CSV (RFC 4180, CRLF line endings, six-decimal floats) plus one JSON
+summary.  Nothing here embeds timestamps, so reruns of a deterministic
+sweep reproduce every non-timing byte.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _check_numbers(obj: dict, keys: tuple[str, ...], where) -> None:
             raise ConfigError(f"{where}: {k} is {obj[k]!r}, not a number")
 
 
-def normalized_efficiency(values) -> np.ndarray:
+def normalized_efficiency(values, axis: str = "this axis") -> np.ndarray:
     """Map values to [0, 1] with min -> 1 and max -> 0 (lower is better)."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -80,7 +80,7 @@ def normalized_efficiency(values) -> np.ndarray:
         raise ConfigError("efficiency inputs must be finite")
     lo, hi = float(v.min()), float(v.max())
     if hi == lo:
-        warnings.warn("all runs tie on this axis; scoring every run 1.0",
+        warnings.warn(f"all runs tie on {axis}; scoring every run 1.0",
                       stacklevel=2)
         return np.ones_like(v)
     return 1.0 - (v - lo) / (hi - lo)
@@ -98,10 +98,13 @@ def radar_scores(summaries: list[dict]) -> list[dict]:
     ratios = [s["encryption_ratio"] for s in runs]
     if len(set(ratios)) != len(ratios):
         raise ConfigError(f"duplicate encryption ratios in sweep: {ratios}")
-    e_comp = normalized_efficiency([s["total_wall_ms"] for s in runs])
+    e_comp = normalized_efficiency([s["total_wall_ms"] for s in runs],
+                                   "efficiency_compute")
     e_gen = normalized_efficiency(
-        [s["final_train_accuracy"] - s["final_test_accuracy"] for s in runs])
-    e_loss = normalized_efficiency([s["final_train_loss"] for s in runs])
+        [s["final_train_accuracy"] - s["final_test_accuracy"] for s in runs],
+        "efficiency_generalization")
+    e_loss = normalized_efficiency([s["final_train_loss"] for s in runs],
+                                   "efficiency_loss")
     return [{
         "encryption_ratio": s["encryption_ratio"],
         "accuracy": s["final_test_accuracy"],

@@ -1,11 +1,9 @@
 """Small reference networks with hand-written forward/backward passes.
 
-Every architecture is an optional conv front end followed by one dense
-stack: sigmoid hidden layers `fc1..fck`, then a linear head `out`.
+Every architecture is one dense stack: sigmoid hidden layers
+`fc1..fck`, then a linear head `out`.
 
-    mlp2    hidden widths (64, 32), no front end
-    conv-s  one 5x5 valid conv (4 channels), sigmoid, 2x2 average pool,
-            then the head alone
+    mlp2    hidden widths (64, 32)
     linear  the head alone (used by closed-form gradient oracles)
 
 Parameters live in one flat float64 vector; `Architecture.layout` maps layer
@@ -26,11 +24,8 @@ from ..errors import NumericError, UsageError
 INIT_STREAM = 0x696E6974
 
 # each architecture's hidden widths; the keys are the registered names
-HIDDEN_WIDTHS = {"mlp2": (64, 32), "conv-s": (), "linear": ()}
+HIDDEN_WIDTHS = {"mlp2": (64, 32), "linear": ()}
 _EVAL_BATCH = 256
-_CONV_CHANNELS = 4
-_CONV_KERNEL = 5
-_POOL = 2
 
 
 @dataclass(frozen=True)
@@ -58,15 +53,6 @@ class Architecture:
         if type(self.n_classes) is not int or self.n_classes < 2:
             raise UsageError("need an integer of at least two classes, "
                              f"got {self.n_classes!r}")
-        if self.name == "conv-s":
-            if len(self.input_shape) != 2:
-                raise UsageError("conv-s expects a 2-d single-channel input")
-            if min(self.input_shape) < _CONV_KERNEL + _POOL - 1:
-                raise UsageError(f"conv-s needs inputs of at least "
-                                 f"{_CONV_KERNEL + _POOL - 1} pixels per side")
-            if any((side - _CONV_KERNEL + 1) % _POOL
-                   for side in self.input_shape):
-                raise UsageError("conv-s output must tile into 2x2 pools")
 
     @cached_property
     def input_size(self) -> int:
@@ -83,13 +69,6 @@ class Architecture:
         """Parameter slots in flat-vector order, weight before bias."""
         shapes = []
         width = self.input_size
-        if self.name == "conv-s":
-            _, _, ph, pw = _conv_dims(self)
-            shapes += [
-                ("conv.weight", (_CONV_CHANNELS, _CONV_KERNEL, _CONV_KERNEL)),
-                ("conv.bias", (_CONV_CHANNELS,)),
-            ]
-            width = _CONV_CHANNELS * ph * pw
         widths = (*HIDDEN_WIDTHS[self.name], self.n_classes)
         for name, fan_out in zip(self.dense, widths):
             shapes += [(f"{name}.weight", (fan_out, width)),
@@ -106,12 +85,6 @@ class Architecture:
     @cached_property
     def slots(self) -> dict[str, LayerSlot]:
         return {s.name: s for s in self.layout}
-
-
-def _conv_dims(arch: Architecture) -> tuple[int, int, int, int]:
-    h, w = arch.input_shape
-    oh, ow = h - _CONV_KERNEL + 1, w - _CONV_KERNEL + 1
-    return oh, ow, oh // _POOL, ow // _POOL
 
 
 @dataclass
@@ -164,34 +137,12 @@ def _check_finite(name: str, a: np.ndarray) -> None:
         raise NumericError(f"non-finite values in layer {name!r}")
 
 
-def _patch_indices(arch: Architecture) -> np.ndarray:
-    """Flat pixel indices of each valid conv window, one row per output."""
-    h, w = arch.input_shape
-    k = np.arange(_CONV_KERNEL)
-    corners = (np.arange(h - _CONV_KERNEL + 1)[:, None] * w
-               + np.arange(w - _CONV_KERNEL + 1))
-    return corners.reshape(-1, 1) + (k[:, None] * w + k).reshape(1, -1)
-
-
 def _forward(model: ModelState, x: np.ndarray) -> dict:
-    """Logits plus what the backward pass reads: each dense layer's input
-    and, for conv-s, the conv windows and their sigmoid outputs."""
+    """Logits plus what the backward pass reads: each dense layer's input."""
     arch = model.arch
     layout = arch.slots
-    acts: dict = {}
+    acts: dict = {"inputs": []}
     a = x
-    if arch.name == "conv-s":
-        oh, ow, ph, pw = _conv_dims(arch)
-        wc = model.view(layout["conv.weight"]).reshape(_CONV_CHANNELS, -1)
-        bc = model.view(layout["conv.bias"])
-        patches = x[:, _patch_indices(arch)]      # (B, oh*ow, k*k)
-        act = _sigmoid(patches @ wc.T + bc)       # (B, oh*ow, C)
-        grid = act.reshape(-1, oh, ow, _CONV_CHANNELS)
-        pooled = grid.reshape(-1, ph, _POOL, pw, _POOL,
-                              _CONV_CHANNELS).mean(axis=(2, 4))
-        acts.update(patches=patches, act=act)
-        a = pooled.reshape(x.shape[0], -1)
-    acts["inputs"] = []
     for name in arch.dense:
         acts["inputs"].append(a)
         a = (a @ model.view(layout[f"{name}.weight"]).T
@@ -229,9 +180,9 @@ def _backward(model: ModelState, acts: dict, dlogits: np.ndarray,
     """Per-example error terms of every slab, output layer first.
 
     A weight slab yields (slot, delta, a): example b's gradient is the
-    outer product of delta[b] and a[b], summed over the conv windows
-    when the terms carry a window axis (B, windows, .).  A bias slab
-    yields (slot, delta, None).  Nothing is contracted over the batch.
+    outer product of delta[b] and a[b].  A bias slab yields
+    (slot, delta, None), and example b's gradient is delta[b] itself.
+    Nothing is contracted over the batch.
     """
     arch = model.arch
     layout = arch.slots
@@ -244,16 +195,6 @@ def _backward(model: ModelState, acts: dict, dlogits: np.ndarray,
         out.append((layout[f"{name}.bias"], delta, None))
         if i:  # the layer below is a sigmoid hidden layer
             delta = (delta @ model.view(weight)) * a * (1.0 - a)
-    if arch.name == "conv-s":  # weight is now the first dense layer's
-        oh, ow, ph, pw = _conv_dims(arch)
-        dfeat = (delta @ model.view(weight)).reshape(-1, ph, pw,
-                                                     _CONV_CHANNELS)
-        dgrid = np.repeat(np.repeat(dfeat, _POOL, axis=1), _POOL, axis=2)
-        dgrid /= _POOL * _POOL
-        dact = dgrid.reshape(-1, oh * ow, _CONV_CHANNELS)
-        dpre = dact * acts["act"] * (1.0 - acts["act"])
-        out.append((layout["conv.weight"], dpre, acts["patches"]))
-        out.append((layout["conv.bias"], dpre, None))
     return out
 
 
@@ -278,12 +219,7 @@ def forward_backward(model: ModelState, x: np.ndarray,
     terms = _backward(model, acts, dlogits)
     grad = np.zeros_like(model.flat)
     for slot, delta, a in terms:
-        if a is None:
-            value = delta.sum(axis=tuple(range(delta.ndim - 1)))
-        elif delta.ndim == 3:
-            value = np.einsum("bpc,bpk->ck", delta, a)
-        else:
-            value = delta.T @ a
+        value = delta.sum(axis=0) if a is None else delta.T @ a
         grad[slot.start:slot.end] = value.reshape(-1)
     if not np.isfinite(grad).all():
         # name the first bad slab in backward order

@@ -32,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ckks
-from .errors import (ConfigError, DepthExhaustedError, ProtocolError,
-                     UsageError)
+from .errors import ConfigError, ProtocolError, UsageError
 from .model import (Dataset, SgdState, build_model, evaluate,
                     forward_backward, load_cifar10_batches, make_toy_dataset,
                     partition_iid, sgd_step)
@@ -377,17 +376,13 @@ def aggregate(state: ExperimentState, updates: list[ClientUpdate],
 
     t0 = time.perf_counter()
     averaged: list[ckks.Ciphertext] = []
-    try:
-        for j in range(n_chunks):
-            acc = updates[0].encrypted_chunks[j]
-            for u in updates[1:]:
-                acc = ckks.he_add(acc, u.encrypted_chunks[j], state.ctx)
-            acc = ckks.rescale(ckks.he_mul_scalar(acc, 1.0 / k, state.ctx),
-                               state.ctx)
-            averaged.append(acc)
-    except DepthExhaustedError as exc:
-        raise ConfigError(
-            f"modulus chain cannot average this round: {exc}") from exc
+    for j in range(n_chunks):
+        acc = updates[0].encrypted_chunks[j]
+        for u in updates[1:]:
+            acc = ckks.he_add(acc, u.encrypted_chunks[j], state.ctx)
+        acc = ckks.rescale(ckks.he_mul_scalar(acc, 1.0 / k, state.ctx),
+                           state.ctx)
+        averaged.append(acc)
     he_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -160,7 +160,6 @@ def test_train_bad_config_exits_config(tmp_path, capsys):
         assert err.startswith("hefl train: ") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:all runs tie")
 def test_full_flow_train_attack_report(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -198,6 +197,29 @@ def test_full_flow_train_attack_report(tmp_path, capsys):
         assert (rep / name).exists()
     radar = (rep / "radar.csv").read_text().splitlines()
     assert radar[1].startswith("0.000000,") and radar[2].startswith("0.500000,")
+
+
+def test_report_names_each_tied_axis(tmp_path, capsys):
+    # equal accuracies and losses tie two axes; the wall times differ
+    runs = []
+    for ratio, wall in ((0.0, 100.0), (1.0, 300.0)):
+        run_dir = tmp_path / f"run{ratio}"
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text(json.dumps({
+            "encryption_ratio": ratio, "sensitivity_method": "magnitude",
+            "rounds": 1, "final_train_accuracy": 1.0,
+            "final_test_accuracy": 1.0, "final_train_loss": 0.25,
+            "total_wall_ms": wall}))
+        (run_dir / "records.jsonl").write_text(json.dumps({
+            "round": 1, "mask_count": 0, "train_accuracy": 1.0,
+            "test_accuracy": 1.0, "avg_train_loss": 0.25}) + "\n")
+        runs.append(str(run_dir))
+    code, _, err = run(capsys, "report", "--runs", *runs,
+                       "--out", str(tmp_path / "rep"))
+    assert code == 0
+    assert err.splitlines() == [
+        f"hefl report: all runs tie on {axis}; scoring every run 1.0"
+        for axis in ("efficiency_generalization", "efficiency_loss")]
 
 
 def test_report_missing_run_exits_config(tmp_path, capsys):

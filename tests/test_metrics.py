@@ -35,8 +35,8 @@ def test_normalization_boundaries_and_midpoint():
 
 
 def test_normalization_ties_score_one_with_warning():
-    with pytest.warns(UserWarning, match="tie"):
-        out = normalized_efficiency([3.0, 3.0, 3.0])
+    with pytest.warns(UserWarning, match="all runs tie on efficiency_loss;"):
+        out = normalized_efficiency([3.0, 3.0, 3.0], "efficiency_loss")
     assert out.tolist() == [1.0, 1.0, 1.0]
 
 

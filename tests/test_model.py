@@ -34,9 +34,8 @@ def test_mlp2_parameter_count():
 
 @pytest.mark.parametrize("name,shape,loss", [
     ("mlp2", (8, 8), "ce"),
-    ("conv-s", (8, 8), "ce"),
     ("linear", (16,), "ce"),
-])
+], ids=["mlp2-shape0-ce", "linear-shape2-ce"])  # stable ids across removals
 def test_gradcheck_finite_differences(name, shape, loss, rng):
     arch = Architecture(name, shape, 4)
     model = build_model(arch, 3)
@@ -50,15 +49,13 @@ def test_gradcheck_finite_differences(name, shape, loss, rng):
 
 @pytest.mark.parametrize("name,shape,n_classes,message", [
     ("resnet", (8, 8), 10, "unknown architecture"),
-    ("conv-s", (64,), 10, "2-d single-channel"),
-    ("conv-s", (5, 8), 10, "at least 6 pixels"),
-    ("conv-s", (9, 10), 10, "tile into 2x2 pools"),
+    ("conv-s", (8, 8), 10, "unknown architecture"),
     ("mlp2", (8, 8), 1, "two classes"),
     ("mlp2", (8.0, 8), 10, "positive integers"),
     ("mlp2", (0, 8), 10, "positive integers"),
     ("mlp2", (8, 8), 10.0, "two classes"),
-], ids=["unknown", "conv-flat", "conv-small", "conv-odd", "one-class",
-        "float-side", "zero-side", "float-classes"])
+], ids=["unknown", "conv-s", "one-class", "float-side", "zero-side",
+        "float-classes"])
 def test_architecture_rejects_at_construction(name, shape, n_classes,
                                               message):
     with pytest.raises(UsageError, match=message):
@@ -80,33 +77,6 @@ def test_linear_softmax_closed_form(rng):
     gb = grad[slabs["out.bias"].start:slabs["out.bias"].end]
     assert np.allclose(gw, (p.T @ x) / 5, atol=1e-12)
     assert np.allclose(gb, p.mean(axis=0), atol=1e-12)
-
-
-def test_conv_forward_matches_direct_correlation(rng):
-    # valid 5x5 correlation by explicit slicing, sigmoid, 2x2 mean pool, head
-    arch = Architecture("conv-s", (10, 12), 3)
-    model = build_model(arch, 5)
-    x = rng.uniform(0, 1, (2, arch.input_size))
-    wc = model.view(arch.slots["conv.weight"])
-    bc = model.view(arch.slots["conv.bias"])
-    wo = model.view(arch.slots["out.weight"])
-    bo = model.view(arch.slots["out.bias"])
-    expected = np.empty((2, 3))
-    for b, image in enumerate(x.reshape(2, 10, 12)):
-        act = np.empty((6, 8, 4))
-        for oy in range(6):
-            for ox in range(8):
-                window = image[oy:oy + 5, ox:ox + 5]
-                for c in range(4):
-                    pre = np.sum(window * wc[c]) + bc[c]
-                    act[oy, ox, c] = 1.0 / (1.0 + np.exp(-pre))
-        pooled = np.empty((3, 4, 4))
-        for py in range(3):
-            for px in range(4):
-                pooled[py, px] = act[2 * py:2 * py + 2,
-                                     2 * px:2 * px + 2].mean(axis=(0, 1))
-        expected[b] = wo @ pooled.reshape(-1) + bo
-    assert np.allclose(forward_logits(model, x), expected, atol=1e-12)
 
 
 def test_nonfinite_gradient_names_first_bad_slab(rng):

@@ -96,6 +96,8 @@ def test_config_precedence_and_unknown_keys():
     {"calibration_batches": 0},
     {"seed": -1},
     {"seed": 2 ** 63},
+    # mlp2 and linear are the only architectures
+    {"arch": "conv-s"},
 ])
 def test_config_validation_rejects(patch):
     with pytest.raises(ConfigError):
@@ -294,11 +296,10 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (tmp_path / "full" / "records.jsonl").read_text()
 
 
-@pytest.mark.parametrize("arch,method", [("conv-s", "magnitude"),
-                                         ("linear", "jacobian")])
+@pytest.mark.parametrize("arch,method", [("linear", "jacobian")])
 def test_every_architecture_trains_and_resumes(tmp_path, arch, method):
-    # mlp2 runs through the protocol everywhere else; these are the
-    # other two architectures on the toy task's 8x8 images
+    # mlp2 runs through the protocol everywhere else; this is the other
+    # architecture on the toy task's 8x8 images
     cfg = tiny_cfg(arch=arch, sensitivity_method=method,
                    encryption_ratio=0.1)
     run_experiment(cfg, tmp_path / "fresh")
