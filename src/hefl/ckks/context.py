@@ -63,7 +63,8 @@ class CkksContext:
     # ---- domain moves ----------------------------------------------------
 
     def to_ntt(self, a: np.ndarray) -> np.ndarray:
-        return ntt_forward(a, self.ntt.rows(slice(0, a.shape[0])))
+        """NTT image of a polynomial, or of a stack of same-level ones."""
+        return ntt_forward(a, self.ntt.rows(slice(0, a.shape[-2])))
 
     def to_coeff(self, a: np.ndarray) -> np.ndarray:
         return ntt_inverse(a, self.ntt.rows(slice(0, a.shape[0])))

@@ -84,11 +84,12 @@ def encrypt(pt: Plaintext, pk: PublicKey, ctx: CkksContext,
         np.random.SeedSequence((ENCRYPT_STREAM, *entropy)))
     top = params.top_level
 
-    v = ctx.to_ntt(ctx.lift_signed(ctx.sample_ternary(rng), top))
+    v = ctx.lift_signed(ctx.sample_ternary(rng), top)
     e0 = ctx.lift_signed(ctx.sample_gaussian(rng), top)
-    e1 = ctx.to_ntt(ctx.lift_signed(ctx.sample_gaussian(rng), top))
-    # the NTT is linear mod q, so e0 joins the message before its one NTT
-    m_e0 = ctx.to_ntt(ctx.add(pt.poly, e0))
+    e1 = ctx.lift_signed(ctx.sample_gaussian(rng), top)
+    # the NTT is linear mod q, so e0 joins the message before its one NTT;
+    # the three polynomials share one transform call
+    v, e1, m_e0 = ctx.to_ntt(np.stack([v, e1, ctx.add(pt.poly, e0)]))
 
     rows = slice(0, top + 1)
     c0 = ctx.add(ctx.mul_fixed(v, pk.b_ntt[rows], pk.b_sh[rows]), m_e0)

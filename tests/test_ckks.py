@@ -255,6 +255,13 @@ def test_matrix_ops_match_per_prime_kernels(profile):
             expect = mulmod_shoup(a[i], np.uint64(k), np.uint64(shoup(k, q)),
                                   q64)
             assert np.array_equal(scaled[i], expect), i
+    # a stack of residue matrices transforms one matrix at a time, as
+    # encrypt's single to_ntt call over three polynomials relies on
+    stacked = np.stack([a, b])
+    for transform, got in ((ntt_forward, ctx.to_ntt(stacked)),
+                           (ntt_inverse, ntt_inverse(stacked, ctx.ntt))):
+        for p, matrix in enumerate(stacked):
+            assert np.array_equal(got[p], transform(matrix, ctx.ntt)), p
     # rescale's top row runs on the row-`top` slice of the stacked tables
     assert np.array_equal(ntt_inverse(a[top], ctx.ntt.rows(top)),
                           ntt_inverse(a[top], make_prime_ntt(n, chain[top])))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hefl.ckks.modmath import largest_ntt_primes, shoup
 from hefl.ckks.ntt import make_prime_ntt, ntt_forward, ntt_inverse
+from hefl.errors import UsageError
 
 from .oracles import negacyclic_kronecker, negacyclic_schoolbook
 
@@ -37,16 +38,29 @@ def test_monomial_products_exhaustive(n):
             assert got.tolist() == expect, (n, i, j)
 
 
-@pytest.mark.parametrize("n,q_bits", [(8, 30), (64, 40), (256, 60)])
+@pytest.mark.parametrize("n,q_bits", [(8, 30), (64, 40), (256, 60),
+                                      (256, 62)])
 def test_random_products_match_schoolbook(n, q_bits, rng):
     q = largest_ntt_primes(q_bits, n, count=1)[0]
     tab = make_prime_ntt(n, q)
-    for _ in range(25):
-        a = rng.integers(0, q, n, dtype=np.uint64)
-        b = rng.integers(0, q, n, dtype=np.uint64)
+    pairs = [(rng.integers(0, q, n, dtype=np.uint64),
+              rng.integers(0, q, n, dtype=np.uint64)) for _ in range(25)]
+    # random residues rarely come near the lazy butterflies' 4q bound;
+    # these sit at the top of [0, q) on every coefficient or every other
+    edges = [np.full(n, q - 1, dtype=np.uint64),
+             np.where(np.arange(n) % 2 == 1, q - 1, 0).astype(np.uint64)]
+    pairs += [(a, b) for a in edges for b in edges]
+    for a, b in pairs:
         got = ntt_multiply(a, b, tab)
         assert got.tolist() == negacyclic_schoolbook(a.tolist(), b.tolist(),
                                                      q)
+
+
+def test_tables_reject_primes_past_the_lazy_range():
+    """The lazy forward butterflies hold residues below 4q < 2^64."""
+    q = largest_ntt_primes(63, 8, count=1)[0]
+    with pytest.raises(UsageError, match="below 2\\^62"):
+        make_prime_ntt(8, q)
 
 
 def test_random_products_match_kronecker_n1024(rng):
