@@ -1,9 +1,11 @@
 """Leveled CKKS core: RNS residue matrices, stacked NTT, batch encoding.
 
 Every polynomial is a bare uint64 residue matrix of shape (level + 1, N),
-one row per chain prime.  The container fixes its domain: ciphertexts
-and public keys hold NTT form, `SecretKey.s_ntt` is NTT form, and
-plaintexts hold coefficient form.
+one row per chain prime.  A ciphertext's (c0, c1) and a public key's
+(b, a) are each one (2, level + 1, N) stack, so every residue op runs
+once on the pair; the wire format writes that stack as it is held.  The
+container fixes the domain: ciphertexts and public keys hold NTT form,
+`SecretKey.s_ntt` is NTT form, and plaintexts hold coefficient form.
 """
 
 from .context import CkksContext, get_context

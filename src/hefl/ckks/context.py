@@ -3,7 +3,9 @@
 A polynomial in Z_Q[X]/(X^N+1) is a bare uint64 residue matrix of shape
 (level + 1, N): row i holds the residues under chain prime i, so its
 level is its row count minus one.  Its domain (coefficient or NTT) is
-fixed by the container that holds it, not tagged on the array.
+fixed by the container that holds it, not tagged on the array.  The
+residue ops read the row count from the second-to-last axis, so each
+also runs once over a stack of same-level polynomials.
 
 A context bundles the NTT tables of all chain primes stacked row by
 row, CRT reconstruction constants, rescale inverses and the slot
@@ -63,45 +65,47 @@ class CkksContext:
     # ---- domain moves ----------------------------------------------------
 
     def to_ntt(self, a: np.ndarray) -> np.ndarray:
-        """NTT image of a polynomial, or of a stack of same-level ones."""
         return ntt_forward(a, self.ntt.rows(slice(0, a.shape[-2])))
 
     def to_coeff(self, a: np.ndarray) -> np.ndarray:
-        return ntt_inverse(a, self.ntt.rows(slice(0, a.shape[0])))
+        return ntt_inverse(a, self.ntt.rows(slice(0, a.shape[-2])))
 
     # ---- arithmetic ------------------------------------------------------
 
+    def _primes(self, a: np.ndarray) -> np.ndarray:
+        """The (R, 1) prime column of an (R, N) matrix or a stack of them."""
+        return self.chain_u64[:a.shape[-2], None]
+
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sum of two polynomials held in the same domain."""
+        """Sum of two polynomials (or stacks) held in the same domain."""
         if a.shape != b.shape:
             raise UsageError("polynomial level mismatch")
-        q = self.chain_u64[:a.shape[0], None]
+        q = self._primes(a)
         s = a + b
         return np.where(s >= q, s - q, s)
 
     def negate(self, a: np.ndarray) -> np.ndarray:
-        q = self.chain_u64[:a.shape[0], None]
-        return np.where(a == 0, a, q - a)
+        return np.where(a == 0, a, self._primes(a) - a)
 
     def mul_fixed(self, a: np.ndarray, fixed: np.ndarray,
                   fixed_sh: np.ndarray) -> np.ndarray:
-        """Pointwise product of an NTT-form polynomial with an operand
-        that carries Shoup words.
+        """Pointwise product of NTT-form polynomials with an operand that
+        carries Shoup words.
 
-        The operand has one row per prime: an (R, N) NTT-form matrix, or
-        one constant per prime.
+        The operand broadcasts against `a`: an (R, N) matrix, a stack of
+        them, or a 1-D array of one constant per prime.
         """
-        rows = a.shape[0]
-        return mulmod_shoup(a, fixed.reshape(rows, -1),
-                            fixed_sh.reshape(rows, -1),
-                            self.chain_u64[:rows, None])
+        if fixed.ndim == 1:
+            fixed, fixed_sh = fixed[:, None], fixed_sh[:, None]
+        return mulmod_shoup(a, fixed, fixed_sh, self._primes(a))
 
     # ---- lifting and sampling --------------------------------------------
 
     def lift_signed(self, values: np.ndarray, level: int) -> np.ndarray:
-        """Small signed integer coefficients -> coefficient-form residues."""
+        """Small signed integer coefficients -> coefficient-form residues;
+        a (P, N) stack of coefficient vectors lifts to (P, level + 1, N)."""
         q = self.chain_u64[:level + 1, None].astype(np.int64)
-        return np.mod(values.astype(np.int64), q).astype(U64)
+        return np.mod(values[..., None, :].astype(np.int64), q).astype(U64)
 
     def sample_ternary(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(-1, 2, size=self.params.ring_dim, dtype=np.int64)

@@ -1,7 +1,9 @@
 """RLWE key material: ternary secret, noisy public-key pair.
 
-Key generation is a pure function of (params, seed); the same seed
-reproduces bit-identical keys.
+The public key (b, a) is one NTT-form (2, L + 1, N) stack, so an
+encryption multiplies both by v in one product.  Key generation is a
+pure function of (params, seed); the same seed reproduces bit-identical
+keys.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ class SecretKey:
 
 @dataclass
 class PublicKey:
-    """(b, a) with b = -a*s + e, both stored in the NTT domain."""
+    """(b, a) with b = -a*s + e, one NTT-form (2, L + 1, N) stack, with
+    its Shoup words."""
 
-    b_ntt: np.ndarray
-    b_sh: np.ndarray
-    a_ntt: np.ndarray
-    a_sh: np.ndarray
+    pair: np.ndarray
+    pair_sh: np.ndarray
 
 
 def keygen(ctx: CkksContext, seed: int) -> tuple[SecretKey, PublicKey]:
@@ -46,13 +47,9 @@ def keygen(ctx: CkksContext, seed: int) -> tuple[SecretKey, PublicKey]:
     a = ctx.sample_uniform_ntt(rng, top)
 
     q = ctx.chain_u64[:, None]
-    s_ntt = ctx.to_ntt(ctx.lift_signed(s, top))
+    s_ntt, e_ntt = ctx.to_ntt(ctx.lift_signed(np.stack([s, e]), top))
     s_sh = shoup_rows(s_ntt, q)
-
-    a_s = ctx.mul_fixed(a, s_ntt, s_sh)
-    e_ntt = ctx.to_ntt(ctx.lift_signed(e, top))
-    b = ctx.add(ctx.negate(a_s), e_ntt)
-
-    pk = PublicKey(b, shoup_rows(b, q), a, shoup_rows(a, q))
-    return SecretKey(s, s_ntt, s_sh), pk
+    b = ctx.add(ctx.negate(ctx.mul_fixed(a, s_ntt, s_sh)), e_ntt)
+    pair = np.stack([b, a])
+    return SecretKey(s, s_ntt, s_sh), PublicKey(pair, shoup_rows(pair, q))
 

@@ -1,11 +1,11 @@
 """Leveled homomorphic operations: encrypt, add, scalar multiply, rescale.
 
-A ciphertext holds its two polynomials as bare residue matrices in the
-NTT domain from encryption to decryption, so additions and the
-supported products are pointwise; its level is their row count minus
-one.  Levels index the modulus chain; the base prime (index 0) is
-reserved decryption headroom, so rescaling stops once only the base and
-one more prime remain.
+A ciphertext holds its two polynomials as one NTT-form (2, level + 1, N)
+residue stack from encryption to decryption, so additions and the
+supported products are pointwise and each runs once on both.  Levels
+index the modulus chain; the base prime (index 0) is reserved decryption
+headroom, so rescaling stops once only the base and one more prime
+remain.
 """
 
 from __future__ import annotations
@@ -25,23 +25,22 @@ from .ntt import ntt_inverse
 
 @dataclass
 class Ciphertext:
-    """RLWE pair (c0, c1), NTT-form (level + 1, N) residue matrices,
-    with scale bookkeeping.
+    """RLWE pair (c0, c1) as one NTT-form (2, level + 1, N) residue
+    stack, with scale bookkeeping.
 
     noise_bits tracks log2 of a 6-sigma (not worst-case) estimate of the
     largest noise coefficient and value_bits bounds log2 of the largest
     slot magnitude; both feed the headroom and decrypt integrity checks.
     """
 
-    c0: np.ndarray
-    c1: np.ndarray
+    c: np.ndarray
     scale: float
     noise_bits: float
     value_bits: float
 
     @property
     def level(self) -> int:
-        return self.c0.shape[0] - 1
+        return self.c.shape[-2] - 1
 
 
 def _fresh_noise_bits(ring_dim: int) -> float:
@@ -84,17 +83,16 @@ def encrypt(pt: Plaintext, pk: PublicKey, ctx: CkksContext,
         np.random.SeedSequence((ENCRYPT_STREAM, *entropy)))
     top = params.top_level
 
-    v = ctx.lift_signed(ctx.sample_ternary(rng), top)
-    e0 = ctx.lift_signed(ctx.sample_gaussian(rng), top)
-    e1 = ctx.lift_signed(ctx.sample_gaussian(rng), top)
+    v, e0, e1 = ctx.lift_signed(np.stack([ctx.sample_ternary(rng),
+                                          ctx.sample_gaussian(rng),
+                                          ctx.sample_gaussian(rng)]), top)
     # the NTT is linear mod q, so e0 joins the message before its one NTT;
     # the three polynomials share one transform call
-    v, e1, m_e0 = ctx.to_ntt(np.stack([v, e1, ctx.add(pt.poly, e0)]))
-
-    rows = slice(0, top + 1)
-    c0 = ctx.add(ctx.mul_fixed(v, pk.b_ntt[rows], pk.b_sh[rows]), m_e0)
-    c1 = ctx.add(ctx.mul_fixed(v, pk.a_ntt[rows], pk.a_sh[rows]), e1)
-    return Ciphertext(c0, c1, pt.scale, _fresh_noise_bits(params.ring_dim), pt.value_bits)
+    ntt = ctx.to_ntt(np.stack([ctx.add(pt.poly, e0), e1, v]))
+    # (c0, c1) = v * (b, a) + (m + e0, e1)
+    c = ctx.add(ctx.mul_fixed(ntt[2], pk.pair, pk.pair_sh), ntt[:2])
+    return Ciphertext(c, pt.scale, _fresh_noise_bits(params.ring_dim),
+                      pt.value_bits)
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey, ctx: CkksContext) -> Plaintext:
@@ -102,8 +100,9 @@ def decrypt(ct: Ciphertext, sk: SecretKey, ctx: CkksContext) -> Plaintext:
         raise DecryptionIntegrityError(
             "estimated noise reaches the modulus; refusing to decode")
     rows = slice(0, ct.level + 1)
-    c1_s = ctx.mul_fixed(ct.c1, sk.s_ntt[rows], sk.s_sh[rows])
-    raw = ctx.to_coeff(ctx.add(ct.c0, c1_s))
+    c0, c1 = ct.c
+    raw = ctx.to_coeff(ctx.add(c0, ctx.mul_fixed(c1, sk.s_ntt[rows],
+                                                 sk.s_sh[rows])))
     return Plaintext(raw, ct.scale, ct.value_bits)
 
 
@@ -114,8 +113,7 @@ def he_add(a: Ciphertext, b: Ciphertext, ctx: CkksContext) -> Ciphertext:
         raise UsageError(f"scale mismatch: {a.scale} vs {b.scale}")
     noise = float(np.logaddexp2(a.noise_bits, b.noise_bits))
     value = float(np.logaddexp2(a.value_bits, b.value_bits))
-    return Ciphertext(ctx.add(a.c0, b.c0), ctx.add(a.c1, b.c1), a.scale,
-                      noise, value)
+    return Ciphertext(ctx.add(a.c, b.c), a.scale, noise, value)
 
 
 def he_mul_scalar(ct: Ciphertext, scalar: float, ctx: CkksContext) -> Ciphertext:
@@ -125,12 +123,11 @@ def he_mul_scalar(ct: Ciphertext, scalar: float, ctx: CkksContext) -> Ciphertext
         raise DepthExhaustedError(
             "no level remaining for a plaintext product")
     res, sh, magnitude = encode_scalar_residues(scalar, ctx, ct.level)
-    c0 = ctx.mul_fixed(ct.c0, res, sh)
-    c1 = ctx.mul_fixed(ct.c1, res, sh)
+    c = ctx.mul_fixed(ct.c, res, sh)
     noise = ct.noise_bits + math.log2(max(magnitude, 1.0))
     value = ct.value_bits + (math.log2(magnitude / ctx.params.scale)
                              if magnitude else 0.0)
-    return Ciphertext(c0, c1, ct.scale * ctx.params.scale, noise, value)
+    return Ciphertext(c, ct.scale * ctx.params.scale, noise, value)
 
 
 def rescale(ct: Ciphertext, ctx: CkksContext) -> Ciphertext:
@@ -141,19 +138,14 @@ def rescale(ct: Ciphertext, ctx: CkksContext) -> Ciphertext:
             "modulus chain exhausted: only the reserved base prime would remain")
     params = ctx.params
     q_top = params.modulus_chain[lvl]
-
-    def drop(comp: np.ndarray) -> np.ndarray:
-        # (c - [c]_q_top) * q_top^-1 on the lower primes, with the top
-        # residue centred so the division rounds to nearest
-        last = ntt_inverse(comp[lvl], ctx.ntt.rows(lvl))
-        signed = last.astype(np.int64)
-        signed = np.where(last > U64(q_top // 2), signed - q_top, signed)
-        corr = ctx.to_ntt(ctx.lift_signed(signed, lvl - 1))
-        diff = ctx.add(comp[:lvl], ctx.negate(corr))
-        return ctx.mul_fixed(diff, ctx.rescale_inv[lvl],
-                             ctx.rescale_inv_sh[lvl])
-
+    # (c - [c]_q_top) * q_top^-1 on the lower primes, with the top
+    # residues of c0 and c1 centred so the division rounds to nearest
+    last = ntt_inverse(ct.c[:, lvl], ctx.ntt.rows(lvl))
+    signed = last.astype(np.int64)
+    signed = np.where(last > U64(q_top // 2), signed - q_top, signed)
+    corr = ctx.to_ntt(ctx.lift_signed(signed, lvl - 1))
+    c = ctx.mul_fixed(ctx.add(ct.c[:, :lvl], ctx.negate(corr)),
+                      ctx.rescale_inv[lvl], ctx.rescale_inv_sh[lvl])
     noise = float(np.logaddexp2(ct.noise_bits - math.log2(q_top),
                                 _rescale_added_bits(params.ring_dim)))
-    return Ciphertext(drop(ct.c0), drop(ct.c1), ct.scale / q_top, noise,
-                      ct.value_bits)
+    return Ciphertext(c, ct.scale / q_top, noise, ct.value_bits)

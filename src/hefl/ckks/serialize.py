@@ -15,11 +15,16 @@ Layout (little endian):
     49      domain (u8): 0 coefficient, 1 NTT; fixed by the payload kind
     50      poly_count * (level+1) * ring_dim residues (u64 each)
 
-Each payload kind has one domain: a ciphertext and a public key are
-stored in NTT form, a secret key in coefficient form.  Deserialization
-validates against the caller's parameter set, rejects any other domain
-code and any non-finite f64 field, and reports the byte offset of the
-first inconsistent field.
+The body is the payload's (count, level + 1, N) residue stack in row
+order: a ciphertext's (c0, c1) and a public key's (b, a) are each one
+(2, L + 1, N) stack, a secret key a (1, L + 1, N) one.  One stack
+written as a block has the bytes of its polynomials written one after
+the other, so format version 1 is the same either way.  Each payload
+kind has one domain: a ciphertext and a public key are stored in NTT
+form, a secret key in coefficient form.  Deserialization validates
+against the caller's parameter set, rejects any other domain code and
+any non-finite f64 field, and reports the byte offset of the first
+inconsistent field.
 """
 
 from __future__ import annotations
@@ -49,17 +54,15 @@ _KIND_DOMAIN = {KIND_CIPHERTEXT: 1, KIND_PUBLIC_KEY: 1, KIND_SECRET_KEY: 0}
 
 def _pack(kind: int, ctx: CkksContext, level: int, scale: float,
           noise_bits: float, value_bits: float,
-          polys: list[np.ndarray]) -> bytes:
+          polys: np.ndarray) -> bytes:
     head = _HEADER.pack(MAGIC, FORMAT_VERSION, kind, ctx.params.fingerprint(),
                         level, scale, noise_bits, value_bits, len(polys),
                         _KIND_DOMAIN[kind])
-    body = b"".join(np.ascontiguousarray(p, dtype="<u8").tobytes()
-                    for p in polys)
-    return head + body
+    return head + np.ascontiguousarray(polys, dtype="<u8").tobytes()
 
 
 def _unpack(data: bytes, ctx: CkksContext, expected_kind: int,
-            ) -> tuple[int, float, float, float, list[np.ndarray]]:
+            ) -> tuple[int, float, float, float, np.ndarray]:
     if len(data) < _HEADER.size:
         raise ParseError("truncated header", offset=len(data))
     (magic, version, kind, fp, level, scale, noise_bits, value_bits, count,
@@ -97,12 +100,12 @@ def _unpack(data: bytes, ctx: CkksContext, expected_kind: int,
         p, i = bad[0]
         raise ParseError(f"residue out of range for prime {i}",
                          offset=_HEADER.size + int(p) * (level + 1) * n * 8)
-    return level, scale, noise_bits, value_bits, list(polys)
+    return level, scale, noise_bits, value_bits, polys
 
 
 def serialize_ciphertext(ct: Ciphertext, ctx: CkksContext) -> bytes:
     return _pack(KIND_CIPHERTEXT, ctx, ct.level, ct.scale, ct.noise_bits,
-                 ct.value_bits, [ct.c0, ct.c1])
+                 ct.value_bits, ct.c)
 
 
 def deserialize_ciphertext(data: bytes, ctx: CkksContext) -> Ciphertext:
@@ -112,27 +115,25 @@ def deserialize_ciphertext(data: bytes, ctx: CkksContext) -> Ciphertext:
         raise ParseError(f"ciphertext carries {len(polys)} polys", offset=48)
     if scale <= 0:
         raise ParseError("non-positive scale", offset=24)
-    return Ciphertext(polys[0], polys[1], scale, noise_bits, value_bits)
+    return Ciphertext(polys, scale, noise_bits, value_bits)
 
 
 def serialize_public_key(pk: PublicKey, ctx: CkksContext) -> bytes:
     return _pack(KIND_PUBLIC_KEY, ctx, ctx.params.top_level, 0.0, 0.0, 0.0,
-                 [pk.b_ntt, pk.a_ntt])
+                 pk.pair)
 
 
 def deserialize_public_key(data: bytes, ctx: CkksContext) -> PublicKey:
     level, _, _, _, polys = _unpack(data, ctx, KIND_PUBLIC_KEY)
     if len(polys) != 2 or level != ctx.params.top_level:
         raise ParseError("malformed public key payload", offset=23)
-    b, a = polys
-    q = ctx.chain_u64[:, None]
-    return PublicKey(b, shoup_rows(b, q), a, shoup_rows(a, q))
+    return PublicKey(polys, shoup_rows(polys, ctx.chain_u64[:, None]))
 
 
 def serialize_secret_key(sk: SecretKey, ctx: CkksContext) -> bytes:
-    coeff = ctx.lift_signed(sk.s_ternary, ctx.params.top_level)
+    coeff = ctx.lift_signed(sk.s_ternary[None], ctx.params.top_level)
     return _pack(KIND_SECRET_KEY, ctx, ctx.params.top_level, 0.0, 0.0, 0.0,
-                 [coeff])
+                 coeff)
 
 
 def deserialize_secret_key(data: bytes, ctx: CkksContext) -> SecretKey:

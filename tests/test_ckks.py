@@ -1,13 +1,18 @@
 """End-to-end homomorphic pipeline: keygen, encrypt, add, scale, noise."""
 
 import dataclasses
+import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import hefl.ckks as ckks
-from hefl.ckks.modmath import mulmod_shoup, shoup
+from hefl.ckks import context as ckks_context
+from hefl.ckks import ops as ckks_ops
+from hefl.ckks.encoding import encode_scalar_residues
+from hefl.ckks.modmath import mulmod_shoup, shoup, shoup_rows
 from hefl.ckks.ntt import make_prime_ntt, ntt_forward, ntt_inverse
 from hefl.errors import (DecryptionIntegrityError, DepthExhaustedError,
                          UsageError)
@@ -42,7 +47,7 @@ def test_keygen_deterministic(ctx_small):
     b = ckks.keygen(ctx_small, 99)
     c = ckks.keygen(ctx_small, 100)
     assert np.array_equal(a[0].s_ternary, b[0].s_ternary)
-    assert np.array_equal(a[1].b_ntt, b[1].b_ntt)
+    assert np.array_equal(a[1].pair, b[1].pair)
     assert not np.array_equal(a[0].s_ternary, c[0].s_ternary)
 
 
@@ -52,8 +57,8 @@ def test_encrypt_deterministic_by_seed(ctx_small, keys_small):
     x = ckks.encrypt(pt, pk, ctx_small, 5)
     y = ckks.encrypt(pt, pk, ctx_small, 5)
     z = ckks.encrypt(pt, pk, ctx_small, 6)
-    assert np.array_equal(x.c0, y.c0)
-    assert not np.array_equal(x.c0, z.c0)
+    assert np.array_equal(x.c, y.c)
+    assert not np.array_equal(x.c, z.c)
 
 
 def test_encrypt_decrypt_error_bound(ctx_small, keys_small, rng):
@@ -195,6 +200,103 @@ def test_fresh_noise_matches_estimate(profile, fixtures, request):
     assert np.abs(noise).max() < bound
 
 
+# How many bits the tracked noise may sit above the largest measured
+# coefficient: the estimate is a 6-sigma bound, the largest of N
+# coefficients sits near 4 sigma, and he_add sums bounds where independent
+# noise adds in quadrature, so the round's pipeline measured 0.6-1.9 bits
+NOISE_SLACK_BITS = 2.5
+
+
+@pytest.mark.parametrize("profile, fixtures, trials", [
+    ("test-small", ("ctx_small", "keys_small"), 6),
+    ("paper-128", ("ctx_paper", "keys_paper"), 3),
+], ids=["test-small", "paper-128"])
+def test_tracked_noise_bounds_aggregation(profile, fixtures, trials,
+                                          request):
+    """The round's pipeline (3 encryptions, two he_add, he_mul_scalar by
+    1/3, rescale) against exact plaintexts: after each op the measured
+    noise stays below 2^noise_bits, and no more than NOISE_SLACK_BITS
+    below it."""
+    ctx, (sk, pk) = (request.getfixturevalue(f) for f in fixtures)
+    n = ctx.params.ring_dim
+
+    def noise(ct, exact):
+        coeffs = ctx.compose_centered(ckks.decrypt(ct, sk, ctx).poly)
+        return float(np.abs((coeffs - exact).astype(np.float64)).max())
+
+    measured: dict[str, list[float]] = {}
+    tracked = {}
+    for trial in range(trials):
+        values = np.random.default_rng(trial).uniform(-8, 8, (3, n // 2))
+        pts = [ckks.encode(v, ctx) for v in values]
+        cts = [ckks.encrypt(pt, pk, ctx, (trial, i))
+               for i, pt in enumerate(pts)]
+        exact = [ctx.compose_centered(pt.poly) for pt in pts]
+        two = ckks.he_add(cts[0], cts[1], ctx)
+        three = ckks.he_add(two, cts[2], ctx)
+        third = ckks.he_mul_scalar(three, 1 / 3, ctx)
+        *_, const = encode_scalar_residues(1 / 3, ctx, three.level)
+        mean = ckks.rescale(third, ctx)
+        # the exact mean's coefficients at the output scale
+        spectrum = np.zeros(2 * n, dtype=np.complex128)
+        spectrum[ctx.slot_exponents] = values.mean(axis=0)
+        spectrum[ctx.conj_exponents] = values.mean(axis=0)
+        mean_coeffs = np.fft.fft(spectrum).real[:n] / n * mean.scale
+        for op, ct, want in (
+                ("encrypt", cts[0], exact[0]),
+                ("he_add", two, exact[0] + exact[1]),
+                ("he_add twice", three, sum(exact)),
+                ("he_mul_scalar", third, int(const) * sum(exact)),
+                ("rescale", mean, mean_coeffs)):
+            measured.setdefault(op, []).append(noise(ct, want))
+            tracked[op] = ct.noise_bits
+    for op, samples in measured.items():
+        peak = math.log2(max(samples))
+        assert peak < tracked[op], op
+        assert tracked[op] - peak <= NOISE_SLACK_BITS, (op, tracked[op], peak)
+
+
+# HomomorphicEncryption.org standard (Albrecht et al., 2018), classical
+# 128-bit security with a uniform ternary secret: the largest log2 Q at
+# each ring dimension
+HE_STANDARD_128_LOG2_Q = {1024: 27, 2048: 54, 4096: 109, 8192: 218,
+                          16384: 438, 32768: 881}
+
+
+def test_paper_profile_meets_128_bit_standard():
+    params = ckks.get_profile("paper-128")
+    log2_q = math.log2(math.prod(params.modulus_chain))
+    assert params.ring_dim == 8192 and round(log2_q) == 172
+    assert log2_q <= HE_STANDARD_128_LOG2_Q[params.ring_dim]
+    # test-small is a test profile: its 110 bits at N = 1024 claim nothing
+    small = ckks.get_profile("test-small")
+    assert (math.log2(math.prod(small.modulus_chain))
+            > HE_STANDARD_128_LOG2_Q[small.ring_dim])
+
+
+def test_rescale_transforms_the_pair_once_each_way(ctx_small, keys_small,
+                                                   monkeypatch):
+    """c0 and c1 share one inverse NTT of their top rows and one forward
+    NTT of their corrections."""
+    _, pk = keys_small
+    ct = ckks.encrypt(ckks.encode(np.ones(4), ctx_small), pk, ctx_small, 1)
+    prod = ckks.he_mul_scalar(ct, 0.5, ctx_small)
+    calls = []
+    for module, name in ((ckks_ops, "ntt_inverse"),
+                         (ckks_context, "ntt_forward"),
+                         (ckks_context, "ntt_inverse")):
+        monkeypatch.setattr(module, name, functools.partial(
+            _logged, calls, name, getattr(module, name)))
+    ckks.rescale(prod, ctx_small)
+    n = ctx_small.params.ring_dim
+    assert calls == [("ntt_inverse", (2, n)), ("ntt_forward", (2, 2, n))]
+
+
+def _logged(calls, name, transform, values, tables):
+    calls.append((name, values.shape))
+    return transform(values, tables)
+
+
 # sha256 of sk + pk + fresh ciphertext + rescaled ciphertext; a change to
 # these bits breaks the byte-determinism promised for keys and ciphertexts
 GOLDEN_DIGESTS = {
@@ -255,13 +357,37 @@ def test_matrix_ops_match_per_prime_kernels(profile):
             expect = mulmod_shoup(a[i], np.uint64(k), np.uint64(shoup(k, q)),
                                   q64)
             assert np.array_equal(scaled[i], expect), i
-    # a stack of residue matrices transforms one matrix at a time, as
-    # encrypt's single to_ntt call over three polynomials relies on
+    # every residue op runs on a (P, R, N) stack as P separate calls, as
+    # the ciphertext's (c0, c1) pair and encrypt's three draws rely on
     stacked = np.stack([a, b])
-    for transform, got in ((ntt_forward, ctx.to_ntt(stacked)),
-                           (ntt_inverse, ntt_inverse(stacked, ctx.ntt))):
-        for p, matrix in enumerate(stacked):
-            assert np.array_equal(got[p], transform(matrix, ctx.ntt)), p
-    # rescale's top row runs on the row-`top` slice of the stacked tables
-    assert np.array_equal(ntt_inverse(a[top], ctx.ntt.rows(top)),
-                          ntt_inverse(a[top], make_prime_ntt(n, chain[top])))
+    pair_sh = np.stack([shoup_rows(a, ctx.chain_u64[:, None]), b_sh])
+    consts, consts_sh = ctx.rescale_inv[top], ctx.rescale_inv_sh[top]
+    signed_stack = np.stack([signed, -signed])
+    cases = {
+        "to_ntt": (ctx.to_ntt(stacked), lambda p: ctx.to_ntt(stacked[p])),
+        "to_coeff": (ctx.to_coeff(stacked),
+                     lambda p: ctx.to_coeff(stacked[p])),
+        "add": (ctx.add(stacked, stacked[::-1]),
+                lambda p: ctx.add(stacked[p], stacked[1 - p])),
+        "negate": (ctx.negate(stacked), lambda p: ctx.negate(stacked[p])),
+        "mul_fixed matrix": (ctx.mul_fixed(stacked, b, b_sh),
+                             lambda p: ctx.mul_fixed(stacked[p], b, b_sh)),
+        "mul_fixed stack": (ctx.mul_fixed(a, stacked, pair_sh),
+                            lambda p: ctx.mul_fixed(a, stacked[p],
+                                                    pair_sh[p])),
+        "mul_fixed constants": (
+            ctx.mul_fixed(stacked[:, :top], consts, consts_sh),
+            lambda p: ctx.mul_fixed(stacked[p, :top], consts, consts_sh)),
+        "lift_signed": (ctx.lift_signed(signed_stack, top),
+                        lambda p: ctx.lift_signed(signed_stack[p], top)),
+    }
+    for name, (got, one) in cases.items():
+        assert got.shape[0] == 2, name
+        for p in range(2):
+            assert np.array_equal(got[p], one(p)), (name, p)
+    # rescale's (2, N) top rows run on the row-`top` slice of the stacked
+    # tables
+    tops = ntt_inverse(stacked[:, top], ctx.ntt.rows(top))
+    for p in range(2):
+        assert np.array_equal(tops[p], ntt_inverse(
+            stacked[p, top], make_prime_ntt(n, chain[top]))), p

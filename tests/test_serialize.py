@@ -41,7 +41,7 @@ def test_key_roundtrips(ctx_small, keys_small):
     assert ckks.serialize_secret_key(sk2, ctx_small) == sk_blob
     assert ckks.serialize_public_key(pk2, ctx_small) == pk_blob
     assert np.array_equal(sk.s_ntt, sk2.s_ntt)
-    assert np.array_equal(pk.a_sh, pk2.a_sh)
+    assert np.array_equal(pk.pair_sh, pk2.pair_sh)
 
 
 def test_truncated_header_reports_length(ctx_small, sample_ct):
