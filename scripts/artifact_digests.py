@@ -7,8 +7,7 @@ linear run under the jacobian mask, a run stopped after round 5 and
 resumed, the attack-capture captures at r = 0.1 with `hefl attack`'s
 result and images, and `hefl keygen` keys of both profiles.  Records
 are hashed without `wall_ms` and summaries without their timings; every
-other artifact is hashed as written, except that `result.json`'s
-capture path keeps only the file name.
+other artifact is hashed as written.
 
 Two trees that print the same JSON write the same artifacts, so this is
 the byte-identity check of a refactor: run it on both and diff.
@@ -103,12 +102,9 @@ def attacks(work: Path) -> dict[str, str]:
     for capture in sorted((work / "capture").glob("capture_*.json")):
         dest = work / f"attack_{capture.stem}"
         _hefl("attack", "--capture", capture, "--out", dest)
-        result = json.loads((dest / "result.json").read_text())
-        result["capture"] = capture.name
-        out[f"attack/{capture.stem}/result.json"] = _sha(_canonical(result))
-        for image in sorted(dest.glob("*.pgm")):
-            out[f"attack/{capture.stem}/{image.name}"] = _sha(
-                image.read_bytes())
+        for artifact in sorted(dest.iterdir()):
+            out[f"attack/{capture.stem}/{artifact.name}"] = _sha(
+                artifact.read_bytes())
     return out
 
 

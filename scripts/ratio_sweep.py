@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from hefl.metrics import emit_reports, load_run
-from hefl.protocol import config_from_dict, run_experiment
+from hefl.metrics import emit_reports
+from hefl.protocol import config_from_dict, load_run, run_experiment
 
 
 def main() -> int:

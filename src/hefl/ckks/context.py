@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import UsageError
-from .modmath import U64, mulmod_shoup, shoup_rows
+from .modmath import U64, mulmod_shoup, shoup_rows, sub_if_ge
 from .ntt import make_ntt, ntt_forward, ntt_inverse
 from .params import CkksParams
 
@@ -80,12 +80,13 @@ class CkksContext:
         """Sum of two polynomials (or stacks) held in the same domain."""
         if a.shape != b.shape:
             raise UsageError("polynomial level mismatch")
-        q = self._primes(a)
         s = a + b
-        return np.where(s >= q, s - q, s)
+        return sub_if_ge(s, self._primes(a), np.empty_like(s))
 
     def negate(self, a: np.ndarray) -> np.ndarray:
-        return np.where(a == 0, a, self._primes(a) - a)
+        q = self._primes(a)
+        d = q - a
+        return sub_if_ge(d, q, np.empty_like(d))
 
     def mul_fixed(self, a: np.ndarray, fixed: np.ndarray,
                   fixed_sh: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ import numpy as np
 from . import ckks
 from .attack import AttackConfig, attack_example, load_capture, write_pgm
 from .errors import EXIT_IO, EXIT_USAGE, HeflError, UsageError
-from .metrics import emit_reports, load_run
-from .protocol import config_from_dict, load_config, run_experiment
+from .metrics import emit_reports
+from .protocol import config_from_dict, load_config, load_run, run_experiment
 
 _BENCH_OPS = ("encode", "encrypt", "he_add", "mul_rescale", "decrypt")
 
@@ -172,7 +172,7 @@ def cmd_attack(args: argparse.Namespace) -> None:
     out.mkdir(parents=True, exist_ok=True)
     body = {k: v for k, v in vars(result).items()
             if not isinstance(v, np.ndarray)}
-    body.update(capture=str(args.capture),
+    body.update(capture=Path(args.capture).name,
                 encryption_ratio=capture["encryption_ratio"])
     (out / "result.json").write_text(
         json.dumps(body, indent=2, sort_keys=True) + "\n")

@@ -1,7 +1,7 @@
 """Cross-run evaluation tables for encryption-ratio sweeps.
 
-Given one training summary per encryption ratio, this module scores
-each run on four axes:
+Given one run summary per encryption ratio, as `protocol.load_run`
+reads it, this module scores each run on four axes:
 
     accuracy                  final test accuracy, used as-is,
     efficiency_compute        min-max normalized total wall time,
@@ -25,50 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .protocol import SUMMARY_KINDS
 
-_REQUIRED = ("encryption_ratio", "sensitivity_method", "rounds",
-             "final_train_accuracy", "final_test_accuracy",
-             "final_train_loss", "total_wall_ms")
+_REQUIRED = tuple(SUMMARY_KINDS)
 
 _RECORD_COLUMNS = ("round", "encryption_ratio", "mask_count",
                    "train_accuracy", "test_accuracy", "avg_train_loss")
-# per-round columns taken from each record; the ratio comes from the summary
-_RECORD_KEYS = tuple(c for c in _RECORD_COLUMNS if c != "encryption_ratio")
-# summary keys that reports compute with; a missing one is reported later
-_NUMERIC_SUMMARY_KEYS = tuple(k for k in _REQUIRED
-                              if k != "sensitivity_method")
-
-
-def load_run(run_dir: str | Path) -> dict:
-    """A run's summary.json with its records.jsonl rows under "records"."""
-    run = Path(run_dir)
-    try:
-        summary = json.loads((run / "summary.json").read_text())
-        lines = (run / "records.jsonl").read_text().splitlines()
-        records = [json.loads(ln) for ln in lines if ln]
-    except OSError as exc:
-        raise ConfigError(f"run directory {run} is unreadable: {exc}") \
-            from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{run} holds invalid JSON: {exc}") from None
-    if not isinstance(summary, dict):
-        raise ConfigError(f"{run / 'summary.json'} is not a JSON object")
-    _check_numbers(summary, _NUMERIC_SUMMARY_KEYS, run / "summary.json")
-    for i, rec in enumerate(records, 1):
-        if not isinstance(rec, dict) or not rec.keys() >= set(_RECORD_KEYS):
-            raise ConfigError(f"{run / 'records.jsonl'} record {i} is not a "
-                              f"JSON object with keys {list(_RECORD_KEYS)}")
-        _check_numbers(rec, _RECORD_KEYS,
-                       f"{run / 'records.jsonl'} record {i}")
-    summary["records"] = records
-    return summary
-
-
-def _check_numbers(obj: dict, keys: tuple[str, ...], where) -> None:
-    """ConfigError unless each of `keys` present in obj holds a number."""
-    for k in (k for k in keys if k in obj):
-        if isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)):
-            raise ConfigError(f"{where}: {k} is {obj[k]!r}, not a number")
 
 
 def normalized_efficiency(values, axis: str = "this axis") -> np.ndarray:

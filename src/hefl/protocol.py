@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -57,19 +58,43 @@ CHECKPOINT_FILE = "checkpoint.bin"
 _CHECKPOINT_KEYS = {"config_digest", "layout", "param_count",
                     "has_prev_update", "round"}
 _STAGES = ("train", "encrypt", "aggregate_he", "aggregate_plain", "decrypt")
-# what a config field must hold, keyed by the type of its default
+# what a value of each kind must be, under _has_kind
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number",
           str: "a string"}
+# a records.jsonl line: the keys RoundRecord.to_json writes, their kinds
+_RECORD_KINDS = {"round": int, "encryption_ratio": float,
+                 "sensitivity_method": str, "mask_count": int,
+                 "mask_fingerprint": str, "train_accuracy": float,
+                 "test_accuracy": float, "avg_train_loss": float,
+                 "wall_ms": dict.fromkeys(_STAGES, float)}
+# summary.json's scalar keys and their kinds; stage_totals_ms is the rest
+SUMMARY_KINDS = {"encryption_ratio": float, "sensitivity_method": str,
+                 "rounds": int, "final_train_accuracy": float,
+                 "final_test_accuracy": float, "final_train_loss": float,
+                 "total_wall_ms": float}
 
 
 def _has_kind(value, kind: type) -> bool:
     """True when value fits a field of that kind: only bool fields take
-    bools, float fields also take ints."""
+    bools, float fields also take ints within the float range."""
     if isinstance(value, bool) != (kind is bool):
         return False
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+    if kind is float:  # NaN compares False
+        return (isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max)
     return isinstance(value, kind)
+
+
+def _check_kinds(obj, kinds: dict, prefix: str) -> None:
+    """ConfigError unless obj holds kinds' keys alone, each of its kind."""
+    if not isinstance(obj, dict) or obj.keys() != kinds.keys():
+        raise ConfigError(f"{prefix}not a JSON object with keys {list(kinds)}")
+    for key, kind in kinds.items():
+        if isinstance(kind, dict):
+            _check_kinds(obj[key], kind, f"{prefix}{key}: ")
+        elif not _has_kind(obj[key], kind):
+            raise ConfigError(
+                f"{prefix}{key} must be {_KINDS[kind]}, got {obj[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +115,8 @@ class FlConfig:
     calibration_batches: int = 2
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if not _has_kind(value, kind):
-                raise ConfigError(
-                    f"{f.name} must be {_KINDS[kind]}, got {value!r}")
+        _check_kinds(asdict(self), {f.name: type(f.default)
+                                    for f in fields(self)}, "")
         if self.clients < 1:
             raise ConfigError("need at least one client")
         if self.rounds < 1:
@@ -552,18 +574,36 @@ def write_capture(path: str | Path, state: ExperimentState,
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
-def _kept_wall_ms(line: str, round_index: int) -> dict[str, float]:
-    """Per-stage wall times of a round record kept across a resume."""
+def _parse_records(lines: list[str], path: Path) -> list[dict]:
+    """records.jsonl lines, each held to what RoundRecord.to_json writes."""
+    records = []
+    for i, line in enumerate(lines, 1):
+        where = f"{path} line {i}: "
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            raise ConfigError(f"{where}invalid JSON") from None
+        _check_kinds(records[-1], _RECORD_KINDS, where)
+        if records[-1]["round"] != i:
+            raise ConfigError(f"{where}round is {records[-1]['round']}")
+    return records
+
+
+def load_run(run_dir: str | Path) -> dict:
+    """A run's summary.json with its records.jsonl rows under "records"."""
+    run = Path(run_dir)
     try:
-        wall = json.loads(line)["wall_ms"]
-        # a finite number per stage: float() would also take "nan" and
-        # true, and a NaN total makes summary.json invalid strict JSON
-        if all(_has_kind(wall[name], float) for name in _STAGES):
-            return {name: float(wall[name]) for name in _STAGES}
-    except (KeyError, TypeError, ValueError):  # JSONDecodeError included
-        pass
-    raise ConfigError(f"records.jsonl round {round_index} is not a "
-                      "round record")
+        summary = json.loads((run / "summary.json").read_text())
+        lines = (run / "records.jsonl").read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"run {run} is unreadable: {exc}") from None
+    except json.JSONDecodeError:
+        raise ConfigError(f"{run / 'summary.json'}: invalid JSON") from None
+    records = _parse_records(lines, run / "records.jsonl")
+    _check_kinds(summary, {**SUMMARY_KINDS,
+                           "stage_totals_ms": _RECORD_KINDS["wall_ms"]},
+                 f"{run / 'summary.json'}: ")
+    return {**summary, "records": records}
 
 
 def run_experiment(cfg: FlConfig, out_dir: str | Path,
@@ -586,7 +626,7 @@ def run_experiment(cfg: FlConfig, out_dir: str | Path,
             raise ConfigError(
                 "records.jsonl has fewer rounds than the checkpoint")
     # the summary totals every round in records.jsonl, kept ones too
-    walls = [_kept_wall_ms(line, i) for i, line in enumerate(kept, 1)]
+    walls = [r["wall_ms"] for r in _parse_records(kept, records_path)]
     records_path.write_text("".join(line + "\n" for line in kept))
 
     record = None

@@ -1,10 +1,12 @@
-"""Independent reference implementations used to check product code.
+"""Independent reference implementations used to check product code,
+and malformed inputs that it must refuse.
 
 Everything here computes with exact Python integers and stays
 deliberately naive; nothing imports from the package's arithmetic
 beyond type-free helpers.
 """
 
+import json
 import math
 
 
@@ -62,3 +64,18 @@ def topr_select(scores, ratio):
     k = math.floor(ratio * n + 0.5)
     order = sorted(range(n), key=lambda i: (-float(scores[i]), i))
     return sorted(order[:k])
+
+
+def malformed_records(line):
+    """One good records.jsonl line, broken five ways that every reader of
+    a run directory must refuse."""
+    def edit(change):
+        body = json.loads(line)
+        change(body)
+        return json.dumps(body)             # float("nan") dumps as NaN
+
+    return [edit(lambda b: b.update(test_accuracy=float("nan"))),
+            edit(lambda b: b.pop("test_accuracy")),
+            edit(lambda b: b.update(extra_key=1)),
+            edit(lambda b: b.update(mask_count=True)),
+            edit(lambda b: b.update(round=b["round"] + 1))]

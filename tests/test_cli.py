@@ -10,6 +10,8 @@ from hefl.cli import main
 from hefl.errors import (EXIT_CONFIG, EXIT_CRYPTO, EXIT_IO, EXIT_NUMERIC,
                          EXIT_USAGE)
 
+from .oracles import malformed_records
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -112,6 +114,21 @@ def single_step_capture(tmp_path, capsys):
     return tmp_path / "run" / "capture_r1_c0.json"
 
 
+def test_attack_result_same_from_any_working_directory(tmp_path, capsys,
+                                                      monkeypatch):
+    # result.json names the capture file, not the path as typed
+    path = single_step_capture(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    for out, capture in (("rel", path.relative_to(tmp_path)), ("abs", path)):
+        code, _, err = run(capsys, "attack", "--capture", str(capture),
+                           "--out", out, "--iterations", "2",
+                           "--restarts", "1")
+        assert code == 0, err
+    result = (tmp_path / "rel" / "result.json").read_bytes()
+    assert result == (tmp_path / "abs" / "result.json").read_bytes()
+    assert json.loads(result)["capture"] == path.name
+
+
 def test_attack_non_finite_model_exits_numeric(tmp_path, capsys):
     path = single_step_capture(tmp_path, capsys)
     cap = json.loads(path.read_text())
@@ -199,21 +216,36 @@ def test_full_flow_train_attack_report(tmp_path, capsys):
     assert radar[1].startswith("0.000000,") and radar[2].startswith("0.500000,")
 
 
+STAGES = ("train", "encrypt", "aggregate_he", "aggregate_plain", "decrypt")
+
+
+def write_run(run_dir, ratio=0.1, wall=100.0, accuracy=0.5, loss=1.0):
+    """A one-round run directory holding every field `hefl train` writes;
+    its summary and record bodies."""
+    run_dir.mkdir(exist_ok=True)
+    summary = {
+        "encryption_ratio": ratio, "sensitivity_method": "magnitude",
+        "rounds": 1, "final_train_accuracy": accuracy,
+        "final_test_accuracy": accuracy, "final_train_loss": loss,
+        "stage_totals_ms": dict.fromkeys(STAGES, wall / len(STAGES)),
+        "total_wall_ms": wall}
+    record = {
+        "round": 1, "encryption_ratio": ratio,
+        "sensitivity_method": "magnitude", "mask_count": 3,
+        "mask_fingerprint": "0" * 64, "train_accuracy": accuracy,
+        "test_accuracy": accuracy, "avg_train_loss": loss,
+        "wall_ms": dict.fromkeys(STAGES, wall / len(STAGES))}
+    (run_dir / "summary.json").write_text(json.dumps(summary))
+    (run_dir / "records.jsonl").write_text(json.dumps(record) + "\n")
+    return summary, record
+
+
 def test_report_names_each_tied_axis(tmp_path, capsys):
     # equal accuracies and losses tie two axes; the wall times differ
     runs = []
     for ratio, wall in ((0.0, 100.0), (1.0, 300.0)):
-        run_dir = tmp_path / f"run{ratio}"
-        run_dir.mkdir()
-        (run_dir / "summary.json").write_text(json.dumps({
-            "encryption_ratio": ratio, "sensitivity_method": "magnitude",
-            "rounds": 1, "final_train_accuracy": 1.0,
-            "final_test_accuracy": 1.0, "final_train_loss": 0.25,
-            "total_wall_ms": wall}))
-        (run_dir / "records.jsonl").write_text(json.dumps({
-            "round": 1, "mask_count": 0, "train_accuracy": 1.0,
-            "test_accuracy": 1.0, "avg_train_loss": 0.25}) + "\n")
-        runs.append(str(run_dir))
+        write_run(tmp_path / f"run{ratio}", ratio, wall, 1.0, 0.25)
+        runs.append(str(tmp_path / f"run{ratio}"))
     code, _, err = run(capsys, "report", "--runs", *runs,
                        "--out", str(tmp_path / "rep"))
     assert code == 0
@@ -244,19 +276,26 @@ def test_report_missing_run_exits_config(tmp_path, capsys):
         assert code == EXIT_CONFIG and "not a JSON object" in err
         assert err.startswith("hefl report: ") and err.count("\n") == 1
         assert not (tmp_path / "rep").exists()
-    full = ('{"encryption_ratio": 0.1, "sensitivity_method": "magnitude", '
-            '"rounds": 1, "final_train_accuracy": 0.5, '
-            '"final_test_accuracy": 0.5, "final_train_loss": 1.0, '
-            '"total_wall_ms": %s}')
-    record = ('{"round": %s, "mask_count": 3, "train_accuracy": 0.5, '
-              '"test_accuracy": 0.5, "avg_train_loss": 1.0}\n')
-    for summary, records in ((full % '"slow"', record % 1),
-                             (full % 12.5, record % '"one"')):
+    full, record = write_run(run_dir)
+    code, _, err = run(capsys, "report", "--runs", str(run_dir),
+                       "--out", str(tmp_path / "good"))
+    assert code == 0, err
+    cases = [(json.dumps({**full, key: value}), json.dumps(record), key)
+             for key, value in (("total_wall_ms", "slow"),
+                                ("total_wall_ms", 10 ** 400),
+                                ("rounds", float("nan")),
+                                ("sensitivity_method", 5))]
+    # the same malformed lines make `hefl train --resume` exit 3
+    # (test_protocol's test_resume_requires_matching_records)
+    cases += [(json.dumps(full), line, "records.jsonl line 1")
+              for line in (json.dumps({**record, "round": "one"}),
+                           *malformed_records(json.dumps(record)))]
+    for summary, line, blamed in cases:
         (run_dir / "summary.json").write_text(summary)
-        (run_dir / "records.jsonl").write_text(records)
+        (run_dir / "records.jsonl").write_text(line + "\n")
         code, _, err = run(capsys, "report", "--runs", str(run_dir),
                            "--out", str(tmp_path / "rep"))
-        assert code == EXIT_CONFIG and "not a number" in err
+        assert code == EXIT_CONFIG and blamed in err, err
         assert err.startswith("hefl report: ") and err.count("\n") == 1
         assert not (tmp_path / "rep").exists()
 

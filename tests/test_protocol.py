@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hefl import attack, protocol
-from hefl.errors import ConfigError, ProtocolError
+from hefl import attack, cli, protocol
+from hefl.errors import EXIT_CONFIG, ConfigError, ProtocolError
 from hefl.model import build_model
 from hefl.protocol import (FlConfig, aggregate, config_from_dict,
                            init_experiment, load_checkpoint, load_config,
-                           local_update_vector, run_experiment, run_round,
-                           save_checkpoint, single_step_batch)
+                           load_run, local_update_vector, run_experiment,
+                           run_round, save_checkpoint, single_step_batch)
+
+from .oracles import malformed_records
 
 
 def tiny_cfg(**kw):
@@ -109,6 +111,9 @@ def test_config_rejects_at_construction():
         FlConfig(encryption_ratio=1.5)
     with pytest.raises(ConfigError, match="clients must be an integer"):
         FlConfig(clients="3")
+    # an int beyond the float range used to raise OverflowError
+    with pytest.raises(ConfigError, match="lr must be a finite number"):
+        FlConfig(lr=10 ** 400)
 
 
 def test_config_types_accept_ints_for_floats():
@@ -272,10 +277,10 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert untimed(part) == untimed(tmp_path / "full")
 
     def wall_totals_match_records(run_dir):
-        # the summary counts every round in records.jsonl, kept ones too
-        summary = json.loads((run_dir / "summary.json").read_text())
-        walls = [json.loads(x)["wall_ms"] for x in
-                 (run_dir / "records.jsonl").read_text().splitlines()]
+        # the summary counts every round in records.jsonl, kept ones too;
+        # load_run, the reader of `hefl report`, accepts a resumed run
+        summary = load_run(run_dir)
+        walls = [record["wall_ms"] for record in summary["records"]]
         for name, total in summary["stage_totals_ms"].items():
             assert total == pytest.approx(sum(w[name] for w in walls),
                                           abs=0.01), name
@@ -376,7 +381,7 @@ def test_resume_guards(tmp_path):
             run_experiment(cfg, tmp_path, resume=True)
 
 
-def test_resume_requires_matching_records(tmp_path):
+def test_resume_requires_matching_records(tmp_path, capsys):
     cfg = tiny_cfg(rounds=3)
     state = init_experiment(cfg)
     kept = [run_round(state)[0].to_json() for _ in range(2)]
@@ -396,6 +401,9 @@ def test_resume_requires_matching_records(tmp_path):
         body["wall_ms"]["train"] = value
         return json.dumps(body)               # float("nan") dumps as NaN
 
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dataclasses.asdict(cfg)))
+    # the same malformed lines make `hefl report` exit 3 (test_cli)
     for lines, bad in (([kept[0], "x"], 2),       # or lines that are no rounds
                        ([json.dumps(no_wall), kept[1]], 1),
                        (['{"wall_ms": {}}', kept[1]], 1),
@@ -403,11 +411,17 @@ def test_resume_requires_matching_records(tmp_path):
                        # stage times that float() would have coerced
                        ([kept[0], with_train("nan")], 2),
                        ([kept[0], with_train(True)], 2),
-                       ([kept[0], with_train(float("nan"))], 2)):
-        records.write_text("".join(line + "\n" for line in lines))
-        with pytest.raises(ConfigError,
-                           match=f"round {bad} is not a round record"):
-            run_experiment(cfg, tmp_path, resume=True)
+                       ([kept[0], with_train(float("nan"))], 2),
+                       *(([kept[0], line], 2)
+                         for line in malformed_records(kept[1]))):
+        text = "".join(line + "\n" for line in lines)
+        records.write_text(text)
+        code = cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path), "--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and f"records.jsonl line {bad}" in err, err
+        assert err.startswith("hefl train: ") and err.count("\n") == 1
+        assert records.read_text() == text          # nothing rewritten
 
 
 def test_single_step_capture_contents(tmp_path):
